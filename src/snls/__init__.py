@@ -54,7 +54,6 @@ from .potentials import (
 from .propagators import (
     PerturbedPropagator,
     evolve_free,
-    evolve_perturbed,
     evolve_shifted,
     free_decay_constant,
     spectral_second_derivative_matrix,

@@ -544,25 +544,21 @@ def _with_meta(cfg: RunConfig, summary: dict) -> dict:
 
 def _dispatch(cfg: RunConfig, outdir: Path, threads: int) -> dict:
     name = cfg.experiment()
-    if name == "check_potential":
-        return _run_check_potential(cfg, outdir)
-    if name == "evolve":
-        return _run_evolve(cfg, outdir)
-    if name == "decay":
-        return _run_decay(cfg, outdir)
-    if name == "linear_channels":
-        return _run_linear_channels(cfg, outdir)
-    if name == "channels":
-        return _run_channels(cfg, outdir)
-    if name == "morawetz":
-        return _run_morawetz(cfg, outdir)
-    if name == "translation_gap":
-        return _run_translation_gap(cfg, outdir)
-    if name == "profiles":
-        return _run_profiles(cfg, outdir)
     if name == "sweep":
         return _run_sweep(cfg, outdir, threads)
-    raise ConfigError(f"unknown experiment {name!r}")
+    runner = {
+        "check_potential": _run_check_potential,
+        "evolve": _run_evolve,
+        "decay": _run_decay,
+        "linear_channels": _run_linear_channels,
+        "channels": _run_channels,
+        "morawetz": _run_morawetz,
+        "translation_gap": _run_translation_gap,
+        "profiles": _run_profiles,
+    }.get(name)
+    if runner is None:
+        raise ConfigError(f"unknown experiment {name!r}")
+    return runner(cfg, outdir)
 
 
 def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:

@@ -3,13 +3,13 @@
 exp(i*t*dxx) and exp(i*t*(dxx - 1)) are exact Fourier multipliers; the
 perturbed group exp(i*t*(dxx - V)) is realized two independent ways:
 
-- ``strang_splitting``: alternation of the exact kinetic multiplier
-  exp(-i*h*xi^2) with the exact potential phase exp(-i*h*V).  Every substep
-  is unitary, so mass is conserved to roundoff for any step size; the
-  scheme is second order in the substep h.  A requested time that is not a
-  multiple of the substep is reached by shrinking the final substep, so
-  endpoint times (multiples of pi for the channel extraction) are hit
-  exactly.
+- ``strang_splitting``: the splitting kernel ``strang`` with the exact
+  kinetic multiplier exp(-i*h*xi^2) and the exact potential phase
+  exp(-i*h*V).  Every substep is unitary, so mass is conserved to roundoff
+  for any step size; the scheme is second order in the substep h.  A
+  requested time that is not a multiple of the substep is reached by
+  shrinking the final substep, so endpoint times (multiples of pi for the
+  channel extraction) are hit exactly.
 
 - ``eigendecomposition``: dense diagonalization of H = -D2 + diag(V) where
   D2 is the closed-form differentiation matrix of the trigonometric
@@ -26,17 +26,18 @@ with O(h^2) drift for the splitting.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
-from .errors import CapabilityError, GridMismatchError, ParameterError
+from .errors import CapabilityError, GridMismatchError, InstabilityError, ParameterError
 from .grid import ComplexField, Grid
 
 __all__ = [
     "evolve_free",
     "evolve_shifted",
-    "evolve_perturbed",
     "free_decay_constant",
     "PerturbedPropagator",
     "spectral_second_derivative_matrix",
@@ -90,6 +91,73 @@ def substep_sizes(t: float, dt: float) -> tuple[int, float]:
     if rem <= 1e-12 * max(mag, dt):
         rem = 0.0
     return n_full, rem
+
+
+def multiplier_cache(w: np.ndarray, dt: float):
+    """h -> exp(-i*h*w), computed once for the recurring substeps +-dt and +-dt/2."""
+    kept = functools.cache(lambda h: np.exp(-1j * h * w))
+    return lambda h: kept(h) if abs(h) in (dt, 0.5 * dt) else np.exp(-1j * h * w)
+
+
+def local_phase(v: np.ndarray, alpha, dt: float):
+    """The rule phase(u, tau): u *= exp(-i*tau*(V + |u|^alpha)), returning sup|u|.
+
+    |u|^alpha is d**(alpha/2), d = re^2 + im^2, in the rule's own scratch
+    buffers (one rule per thread).  alpha=None: the linear exp(-i*tau*V).
+    """
+    if alpha is None:
+        mult = multiplier_cache(v, dt)
+
+        def phase(u, tau):
+            u *= mult(tau)
+            return 0.0
+
+        return phase
+    d, tmp = np.empty(v.shape), np.empty(v.shape)
+    ph = np.empty(v.shape, dtype=np.complex128)
+
+    def phase(u, tau):
+        np.multiply(u.real, u.real, out=d)
+        np.multiply(u.imag, u.imag, out=tmp)
+        np.add(d, tmp, out=d)
+        amax = math.sqrt(d.max())
+        np.power(d, 0.5 * alpha, out=d)
+        np.add(d, v, out=d)
+        np.multiply(d, -tau, out=d)
+        np.cos(d, out=ph.real)
+        np.sin(d, out=ph.imag)
+        u *= ph
+        return amax
+
+    return phase
+
+
+def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard: float = math.inf):
+    """Strang splitting of raw samples u, in place; yields u after each signed span.
+
+    The local flow keeps |u|, so the closing half phase of substep h_k and
+    the opening one of h_{k+1} merge into one phase of (h_k + h_{k+1})/2:
+    a span takes one phase at each joint between its substeps, a half phase
+    at either end, and fft, x kinetic(h), ifft for each substep h, so every
+    yield is an exact Strang state.  The guard reads ``not (sup|u| <= guard)``
+    so that NaN trips it too.
+    """
+    buf, t, n_done = np.empty_like(u), 0.0, 0
+    for span in spans:
+        n_full, rem = substep_sizes(span, dt)
+        steps = [math.copysign(dt, span)] * n_full + ([math.copysign(rem, span)] if rem else [])
+        for k, (h_prev, h) in enumerate(itertools.pairwise([0.0] + steps + [0.0])):
+            amax = phase(u, 0.5 * (h_prev + h))
+            if not (amax <= guard):
+                raise InstabilityError(
+                    f"sup|u| = {amax:.3e} passed the guard {guard:.3e} at step "
+                    f"{n_done + k}, t={t + sum(steps[:k]):.6g}, dt={dt:g}; reduce dt"
+                )
+            if h:
+                np.multiply(np.fft.fft(u, out=buf), kinetic(h), out=buf)
+                np.fft.ifft(buf, out=u)
+        t, n_done = t + span, n_done + len(steps)
+        yield u
 
 
 def spectral_second_derivative_matrix(grid: Grid) -> np.ndarray:
@@ -149,36 +217,13 @@ class PerturbedPropagator:
         self.method = method
         self.dt = float(dt)
         self._eig = None
-        self._kin_dt = None
-        self._half_v_dt = None
+        self._rules = multiplier_cache(grid.wavenumbers**2, self.dt), local_phase(v, None, self.dt)
 
     def _eigensystem(self):
         if self._eig is None:
             ham = -spectral_second_derivative_matrix(self.grid) + np.diag(self.v)
             self._eig = np.linalg.eigh(ham)
         return self._eig
-
-    def _dt_multipliers(self):
-        if self._kin_dt is None:
-            self._kin_dt = np.exp(-1j * self.dt * self.grid.wavenumbers**2)
-            self._half_v_dt = np.exp(-0.5j * self.dt * self.v)
-        return self._kin_dt, self._half_v_dt
-
-    def _strang(self, values: np.ndarray, t: float) -> np.ndarray:
-        n_full, rem = substep_sizes(t, self.dt)
-        backward = t < 0
-        kin, half = self._dt_multipliers()
-        if backward:
-            kin, half = np.conj(kin), np.conj(half)
-        u = values
-        for _ in range(n_full):
-            u = half * np.fft.ifft(kin * np.fft.fft(half * u))
-        if rem > 0.0:
-            h = -rem if backward else rem
-            kin_r = np.exp(-1j * h * self.grid.wavenumbers**2)
-            half_r = np.exp(-0.5j * h * self.v)
-            u = half_r * np.fft.ifft(kin_r * np.fft.fft(half_r * u))
-        return u
 
     def evolve(self, f: ComplexField, t: float) -> ComplexField:
         _check_time(t)
@@ -191,9 +236,5 @@ class PerturbedPropagator:
             coeff = modes.T @ f.values
             out = modes @ (np.exp(-1j * energies * t) * coeff)
         else:
-            out = self._strang(f.values, t)
+            out = next(strang(f.values.copy(), (t,), self.dt, *self._rules))
         return ComplexField(self.grid, out)
-
-
-def evolve_perturbed(p: PerturbedPropagator, f: ComplexField, t: float) -> ComplexField:
-    return p.evolve(f, t)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import snls
@@ -391,6 +392,31 @@ class TestCli:
         code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InstabilityError"
+
+    def test_overflow_exit_3(self, tmp_path, capsys):
+        # |u|^alpha overflows at this amplitude and the field turns to NaN;
+        # the unpatched guard must catch it as an instability, not let the
+        # NaN reach a snapshot (a field error, exit 2)
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = evolve
+            grid.n_points = 256
+            grid.length = 40.0
+            potential.family = flat
+            solver.alpha = 5.0
+            solver.dt = 1e-3
+            solver.t_final = 0.01
+            initial.kind = gaussian
+            initial.amplitude = 1e70
+            """,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InstabilityError"
+        assert "step 1," in err["message"] and "nan" in err["message"]
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNLS_THREADS", "2")
