@@ -35,7 +35,9 @@ from .errors import (
 )
 from .grid import (
     ComplexField,
+    _spectral_form,
     boundary_mass_fraction,
+    h1_norm_sq,
     l1_norm,
     lp_norm,
     spectral_derivative,
@@ -67,6 +69,12 @@ def _check_potential(f: ComplexField, V) -> np.ndarray:
     return V
 
 
+def _potential_term(f: ComplexField, V) -> float:
+    """integral(V |f|^2) dx."""
+    V = _check_potential(f, V)
+    return float(np.sum(V * (np.abs(f.values) ** 2)) * f.grid.dx)
+
+
 def energy(f: ComplexField, V, alpha: float, linear: bool = False) -> float:
     """(1/2) * integral(|df|^2 + V|f|^2 + (2/(alpha+2))|f|^(alpha+2)) dx.
 
@@ -74,28 +82,20 @@ def energy(f: ComplexField, V, alpha: float, linear: bool = False) -> float:
     nonlinear well (the conserved quantity of the linear flow is then the
     V-weighted H1 form without the mass term).
     """
-    V = _check_potential(f, V)
-    g = f.grid
-    fhat_sq = np.abs(np.fft.fft(f.values)) ** 2
-    kinetic = float(np.sum(g.wavenumbers**2 * fhat_sq) * g.dx / g.n_points)
-    dens = np.abs(f.values) ** 2
-    potential = float(np.sum(V * dens) * g.dx)
+    kinetic = _spectral_form(f, f.grid.wavenumbers**2)
+    potential = _potential_term(f, V)
     if linear:
         nonlinear = 0.0
     else:
         nonlinear = (2.0 / (alpha + 2.0)) * float(
-            np.sum(dens ** ((alpha + 2.0) / 2.0)) * g.dx
+            np.sum((np.abs(f.values) ** 2) ** ((alpha + 2.0) / 2.0)) * f.grid.dx
         )
     return 0.5 * (kinetic + potential + nonlinear)
 
 
 def h1v_norm_sq(f: ComplexField, V) -> float:
     """integral(|df|^2 + V|f|^2 + |f|^2) dx, conserved by the linear flow."""
-    V = _check_potential(f, V)
-    g = f.grid
-    fhat_sq = np.abs(np.fft.fft(f.values)) ** 2
-    seminorms = float(np.sum((g.wavenumbers**2 + 1.0) * fhat_sq) * g.dx / g.n_points)
-    return seminorms + float(np.sum(V * (np.abs(f.values) ** 2)) * g.dx)
+    return h1_norm_sq(f) + _potential_term(f, V)
 
 
 def defocusing_sup_bound(mass: float, energy_value: float) -> float:
@@ -196,7 +196,7 @@ def decay_ratio(
 
     A bounded, eventually plateauing series is numerical evidence for the
     L1-Linfty decay estimate; for V = 0 the exact plateau is (4*pi)^(-1/2).
-    Evolution proceeds incrementally through the sorted times.
+    One ``evolve_through`` sweep visits the sorted times.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times <= 0):
@@ -207,12 +207,8 @@ def decay_ratio(
     if denom <= 0:
         raise ParameterError("psi must have positive L1 norm")
     ratios = np.empty(times.size)
-    cur = psi
-    t_prev = 0.0
     contaminated = False
-    for k, t in enumerate(times):
-        cur = p.evolve(cur, t - t_prev)
-        t_prev = t
+    for k, (t, cur) in enumerate(zip(times, p.evolve_through(psi, times))):
         ratios[k] = math.sqrt(t) * sup_norm(cur) / denom
         if not contaminated and boundary_mass_fraction(cur) > 0.01:
             contaminated = True

@@ -142,14 +142,15 @@ def l2_norm_sq(f: ComplexField) -> float:
     return float(np.sum(v.real**2 + v.imag**2) * f.grid.dx)
 
 
+def _spectral_form(f: ComplexField, w: np.ndarray) -> float:
+    """integral(w |fhat|^2) dxi / (2 pi) by Parseval: sum(w |FFT(f)|^2) * dx / N."""
+    fhat_sq = np.abs(np.fft.fft(f.values)) ** 2
+    return float(np.sum(w * fhat_sq) * f.grid.dx / f.grid.n_points)
+
+
 def h1_norm_sq(f: ComplexField) -> float:
     """Squared H1 norm: L2 plus the L2 norm of the spectral derivative."""
-    v = f.values
-    fhat_sq = np.abs(np.fft.fft(v)) ** 2
-    xi2 = f.grid.wavenumbers**2
-    n = f.grid.n_points
-    # Parseval: sum|f|^2 dx = sum|FFT(f)|^2 dx / N
-    return float(np.sum((1.0 + xi2) * fhat_sq) * f.grid.dx / n)
+    return _spectral_form(f, 1.0 + f.grid.wavenumbers**2)
 
 
 def l1_norm(f: ComplexField) -> float:

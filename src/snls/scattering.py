@@ -89,16 +89,16 @@ class ChannelPair:
         return l2_norm_sq(self.eta) + l2_norm_sq(self.gamma) - l2_norm_sq(psi)
 
 
+def _channel_pair(state_a: ComplexField, state_b: ComplexField, n: int):
+    """(eta, gamma) from the perturbed states at t = 2*pi*n and (2n+1)*pi."""
+    a_n = evolve_free(state_a, -2.0 * np.pi * n).values
+    b_n = evolve_free(state_b, -(2.0 * n + 1.0) * np.pi).values
+    grid = state_a.grid
+    return ComplexField(grid, 0.5 * (a_n + b_n)), ComplexField(grid, 0.5 * (a_n - b_n))
+
+
 def _pullback_pair(p: PerturbedPropagator, psi: ComplexField, n: int):
-    t_a = 2.0 * np.pi * n
-    t_b = (2.0 * n + 1.0) * np.pi
-    state_a = p.evolve(psi, t_a)
-    state_b = p.evolve(psi, t_b)
-    a_n = evolve_free(state_a, -t_a)
-    b_n = evolve_free(state_b, -t_b)
-    eta = ComplexField(psi.grid, 0.5 * (a_n.values + b_n.values))
-    gamma = ComplexField(psi.grid, 0.5 * (a_n.values - b_n.values))
-    return eta, gamma
+    return _channel_pair(p.evolve(psi, 2.0 * np.pi * n), p.evolve(psi, (2.0 * n + 1.0) * np.pi), n)
 
 
 def _h1_dist(f: ComplexField, g: ComplexField) -> float:
@@ -138,11 +138,11 @@ class ChannelStudy:
 def channel_convergence_study(
     p: PerturbedPropagator, psi: ComplexField, n_max: int
 ) -> ChannelStudy:
-    """Extract channels for every n in 1..n_max with one incremental pass.
+    """Extract channels for every n in 1..n_max with one pass of the flow.
 
-    The perturbed state is advanced pi at a time through all endpoint
-    times.  The reconstruction defect of the n-th pair is measured at the
-    held-out next endpoint,
+    The perturbed state is sampled at all endpoint times pi*k in one
+    ``evolve_through`` sweep.  The reconstruction defect of the n-th pair
+    is measured at the held-out next endpoint,
 
         |exp(it(dxx-V))psi - exp(it dxx)eta_n - exp(it(dxx-1))gamma_n|_L2
         at t = 2*pi*(n+1):
@@ -154,34 +154,24 @@ def channel_convergence_study(
     """
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    states = {}
-    cur = psi
-    t_prev = 0.0
-    for k in range(2, 2 * n_max + 3):  # endpoint times pi*k, holdout included
-        t_k = np.pi * k
-        cur = p.evolve(cur, t_k - t_prev)
-        t_prev = t_k
-        states[k] = cur
+    # states[k - 2] at the endpoint time pi*k, k = 2 .. 2*n_max + 2 (holdout included)
+    states = list(p.evolve_through(psi, np.pi * np.arange(2, 2 * n_max + 3)))
 
     pairs = []
     gaps, mass_defects, rec_defects = [], [], []
     prev = None
-    psi_mass = l2_norm_sq(psi)
     for n in range(1, n_max + 1):
-        a_n = evolve_free(states[2 * n], -2.0 * np.pi * n)
-        b_n = evolve_free(states[2 * n + 1], -(2.0 * n + 1.0) * np.pi)
-        eta = ComplexField(psi.grid, 0.5 * (a_n.values + b_n.values))
-        gamma = ComplexField(psi.grid, 0.5 * (a_n.values - b_n.values))
+        eta, gamma = _channel_pair(states[2 * n - 2], states[2 * n - 1], n)
         gap = 0.0
         if prev is not None:
             gap = _h1_dist(eta, prev[0]) + _h1_dist(gamma, prev[1])
         prev = (eta, gamma)
         pairs.append(ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap))
         gaps.append(gap)
-        mass_defects.append(l2_norm_sq(eta) + l2_norm_sq(gamma) - psi_mass)
+        mass_defects.append(pairs[-1].mass_partition_defect(psi))
         t_hold = 2.0 * np.pi * (n + 1)
         recon = (
-            states[2 * n + 2].values
+            states[2 * n].values
             - evolve_free(eta, t_hold).values
             - evolve_shifted(gamma, t_hold).values
         )
@@ -270,13 +260,8 @@ def translation_flow_gap(
 
     n_samples = max(int(round((t1 - t0) / sample_dt)) + 1, 2)
     times = np.linspace(t0, t1, n_samples)
-    cur = shifted if t0 == 0.0 else p.evolve(shifted, t0)
-    t_prev = t0
     norms = np.empty(n_samples)
-    for k, t in enumerate(times):
-        if t > t_prev:
-            cur = p.evolve(cur, t - t_prev)
-            t_prev = t
+    for k, (t, cur) in enumerate(zip(times, p.evolve_through(shifted, times))):
         ref = reference(shifted, t)
         diff = ComplexField(psi.grid, cur.values - ref.values)
         norms[k] = lp_norm(diff, ex.r)
@@ -389,20 +374,17 @@ def greedy_profile_decomposition(
         half_sup_ok = True
         for n in range(k_ens):
             v_n = ComplexField(grid, residue[n])
-            # sweep the window incrementally, keeping the best state
-            cur = p.evolve(v_n, search_times[0]) if search_times[0] != 0 else v_n
-            best_q = lp_norm(cur, q_exponent)
-            best_state, best_t = cur, search_times[0]
-            sup_q = best_q
-            for t_prev, t in zip(search_times[:-1], search_times[1:]):
-                cur = p.evolve(cur, t - t_prev)
-                qn = lp_norm(cur, q_exponent)
-                sup_q = max(sup_q, qn)
+            # sweep the window, keeping the first state of largest Lq norm
+            best_q = -1.0
+            for t, state in zip(search_times, p.evolve_through(v_n, search_times)):
+                qn = lp_norm(state, q_exponent)
                 if qn > best_q:
-                    best_q, best_state, best_t = qn, cur, t
+                    best_q, best_state, best_t = qn, state, t
             t_shifts[n] = best_t
             best_states.append(best_state)
-            if best_q <= 0.5 * sup_q:
+            # the window maximum is its own sup, so only an all-zero sweep
+            # fails the half-sup test
+            if best_q <= 0.0:
                 half_sup_ok = False
 
         # localization radius from the current concentration estimate

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +421,59 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InstabilityError"
         assert "step 1," in err["message"] and "nan" in err["message"]
+
+    def test_closing_phase_overflow_exit_3(self, tmp_path, capsys):
+        # one step per record segment: the opening half phase of the step
+        # stays finite and the closing one overflows |u|^alpha, so the NaN
+        # appears after the last phase of the segment has read sup|u|
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = evolve
+            grid.n_points = 256
+            grid.length = 20.0
+            potential.family = flat
+            solver.alpha = 5.0
+            solver.dt = 1e-3
+            solver.t_final = 0.05
+            solver.record_stride = 1e-3
+            initial.kind = gaussian
+            initial.amplitude = 4.3e61
+            """,
+        )
+        code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InstabilityError"
+        assert "nan" in err["message"]
+
+    def test_overflow_stderr_is_one_json_object(self, tmp_path):
+        # a fresh interpreter with numpy's default error handling: no
+        # RuntimeWarning may precede the JSON error on stderr
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = evolve
+            grid.n_points = 256
+            grid.length = 40.0
+            potential.family = flat
+            solver.alpha = 5.0
+            solver.dt = 1e-3
+            solver.t_final = 0.01
+            initial.kind = gaussian
+            initial.amplitude = 1e70
+            """,
+        )
+        src = str(Path(snls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "snls.cli", "evolve", "--config", str(cfg),
+             "--output-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == "InstabilityError"
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNLS_THREADS", "2")

@@ -6,6 +6,10 @@ arrays as snapshots.  The kernel merges
 the closing half phase of each step with the opening half phase of the next
 and evaluates |u|^alpha as (re^2 + im^2)^(alpha/2), so the two must agree to
 roundoff on every snapshot.
+
+``PerturbedPropagator.evolve_through`` samples the linear flow at a list of
+times in one sweep; it must reproduce chained ``evolve`` calls bit for bit
+on the splitting path and to roundoff on the eigendecomposition path.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snls
+from snls.errors import GridMismatchError, ParameterError
 from snls.propagators import substep_sizes
 
 examples = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -143,3 +148,62 @@ def test_phase_substep_keeps_modulus(seed, alpha, dt, scale):
     v = rng.uniform(-2.0, 2.0, 64)
     out = snls.phase_substep(snls.ComplexField(grid, vals), v, alpha, dt)
     np.testing.assert_allclose(np.abs(out.values), np.abs(vals), rtol=1e-14, atol=0)
+
+
+
+
+def _repeat(times, k):
+    k %= len(times)
+    return times[: k + 1] + times[k:]
+
+
+# mixed signs, gaps off the step lattice, and one time repeated in place
+time_lists = st.builds(_repeat, st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+                       st.integers(0, 4))
+
+
+def chained(p, f, times):
+    out, t_prev = [], 0.0
+    for t in times:
+        f = p.evolve(f, t - t_prev)
+        out.append(f)
+        t_prev = t
+    return out
+
+
+@examples
+@given(grids, heights, amplitudes, momenta, st.floats(5e-3, 0.1), time_lists)
+def test_evolve_through_splitting_is_chained_evolve(n_exp, height, amplitude, momentum,
+                                                    dt, times):
+    grid, v, u0 = setting(n_exp, height, amplitude, momentum)
+    p = snls.PerturbedPropagator(grid, v, dt=dt)
+    swept = list(p.evolve_through(u0, times))
+    assert len(swept) == len(times)
+    for a, b in zip(swept, chained(p, u0, times)):
+        assert np.array_equal(a.values, b.values)
+
+
+@examples
+@given(grids, heights, amplitudes, momenta, time_lists)
+def test_evolve_through_eigendecomposition_matches_chained(n_exp, height, amplitude,
+                                                           momentum, times):
+    grid, v, u0 = setting(n_exp, height, amplitude, momentum)
+    p = snls.PerturbedPropagator(grid, v, method="eigendecomposition")
+    swept = list(p.evolve_through(u0, times))
+    assert len(swept) == len(times)
+    for a, b in zip(swept, chained(p, u0, times)):
+        assert rel_l2(a.values, b.values) <= TOL
+
+
+@examples
+@given(st.sampled_from(snls.PerturbedPropagator.METHODS), time_lists, st.integers(0, 5),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_evolve_through_rejects_bad_input(method, times, at, bad):
+    # the errors are raised at the call, before any time is visited
+    grid, v, u0 = setting(4, 1.5, 0.5, 0.0)
+    p = snls.PerturbedPropagator(grid, v, method=method)
+    with pytest.raises(ParameterError):
+        p.evolve_through(u0, times[:at] + [bad] + times[at:])
+    other = snls.gaussian_packet(snls.Grid(grid.n_points, 2.0 * grid.length))
+    with pytest.raises(GridMismatchError):
+        p.evolve_through(other, times)
