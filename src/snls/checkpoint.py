@@ -10,7 +10,9 @@ Layout (little-endian throughout):
     24      8     time (f64)
     32      16*N  payload: N interleaved (re, im) f64 pairs
 
-Write -> read -> write round-trips bit-identically.
+Write -> read -> write round-trips bit-identically.  A file that does not
+follow this layout, or whose header grid is not a valid ``Grid``, raises
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CheckpointError, ParameterError
 from .grid import ComplexField, Grid
 
 __all__ = ["Checkpoint", "write_checkpoint", "read_checkpoint"]
@@ -44,30 +46,32 @@ class Checkpoint:
 def write_checkpoint(path, field: ComplexField, time: float) -> None:
     grid = field.grid
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, grid.n_points, grid.length, float(time))
-    interleaved = np.empty(2 * grid.n_points, dtype="<f8")
-    interleaved[0::2] = field.values.real
-    interleaved[1::2] = field.values.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(field.values.astype("<c16").tobytes())
 
 
 def read_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
-            raise ParameterError(f"{path}: truncated checkpoint header")
+            raise CheckpointError(f"{path}: truncated checkpoint header")
         magic, version, n_points, length, time = _HEADER.unpack(raw)
         if magic != MAGIC:
-            raise ParameterError(f"{path}: bad magic {magic!r}")
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
-            raise ParameterError(f"{path}: unsupported format version {version}")
+            raise CheckpointError(f"{path}: unsupported format version {version}")
         payload = fh.read()
     expected = 16 * n_points
     if len(payload) != expected:
-        raise ParameterError(
+        raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f8")
-    values = flat[0::2] + 1j * flat[1::2]
+    # n_points is bounded by the file size here, so building the grid is cheap
+    try:
+        Grid(n_points, length)
+    except ParameterError as exc:
+        raise CheckpointError(f"{path}: bad header grid: {exc}") from exc
+    # read the (re, im) pairs as complex directly: re + 1j*im would lose the sign of a zero
+    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return Checkpoint(n_points=int(n_points), length=length, time=time, values=values)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .config import EXPERIMENTS, parse_config
-from .errors import ConfigError, InstabilityError, SnlsError
+from .errors import CheckpointError, ConfigError, InstabilityError, SnlsError
 from .experiments import emit_plot_data, run
 
 EXIT_OK = 0
@@ -92,6 +92,8 @@ def main(argv=None) -> int:
         return _fail("ConfigError", str(exc), EXIT_CONFIG)
     except InstabilityError as exc:
         return _fail("InstabilityError", str(exc), EXIT_INSTABILITY)
+    except CheckpointError as exc:
+        return _fail("CheckpointError", str(exc), EXIT_IO)
     except OSError as exc:
         return _fail("IOError", str(exc), EXIT_IO)
     except SnlsError as exc:

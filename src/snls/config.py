@@ -7,7 +7,10 @@ Grammar (one assignment per line, no code):
     section.key = value
 
 Values are parsed as, in order: booleans ``true``/``false``, integers,
-floats, comma-separated float lists, and otherwise verbatim strings.
+floats, comma-separated float lists, and otherwise verbatim strings.  A
+value with a comma is a float list only when every nonempty item is a
+number (``1.5,`` is a one-item list); any other comma text, such as
+``first run, small grid``, stays one string.
 Keys are dotted paths; the flat key -> value map is the whole model, so
 configs diff cleanly and sweeps can be generated by templating a single
 line.
@@ -94,11 +97,11 @@ def _parse_scalar(token: str):
 def _parse_value(text: str):
     text = text.strip()
     if "," in text:
-        parts = [p.strip() for p in text.split(",") if p.strip()]
+        parts = [p for p in text.split(",") if p.strip()]
         try:
-            return [float(p) for p in parts]
+            return [float(p) for p in parts] if parts else text
         except ValueError:
-            return [_parse_scalar(p) for p in parts]
+            return text
     return _parse_scalar(text)
 
 
@@ -199,7 +202,8 @@ class RunConfig:
             if isinstance(val, bool):
                 text = "true" if val else "false"
             elif isinstance(val, list):
-                text = ", ".join(f"{v:.17g}" for v in val)
+                # a trailing comma keeps a one-item list a list
+                text = ", ".join(f"{v:.17g}" for v in val) + ("," if len(val) == 1 else "")
             elif isinstance(val, float):
                 text = f"{val:.17g}"
             else:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
-InstabilityError -> 3, I/O problems -> 4.
+InstabilityError -> 3, CheckpointError and other I/O problems -> 4.
 """
 
 
@@ -35,6 +35,10 @@ class InsufficientDataError(SnlsError):
 
 class DomainError(SnlsError):
     """A spatial argument leaves the safely resolved region."""
+
+
+class CheckpointError(ParameterError):
+    """A checkpoint file is truncated, corrupt or of an unknown format."""
 
 
 class ConfigError(SnlsError):

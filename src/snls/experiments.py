@@ -127,26 +127,12 @@ def _build_problem(cfg: RunConfig, grid: Grid, v: np.ndarray, u0: ComplexField) 
 # ---------------------------------------------------------------- writers
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _write_outputs(outdir: Path, summary: dict, header, rows) -> None:
+def _write_outputs(cfg: RunConfig, outdir: Path, summary: dict, header, rows) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
+    record = {"experiment": cfg.experiment(), "config": cfg.render(), **summary}
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        # np.float64 subclasses float; other numpy values go through .tolist()
+        json.dump(record, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
         fh.write("\n")
     with open(outdir / "series.csv", "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -160,11 +146,10 @@ def _format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def emit_plot_data(series_path, columns, out_path=None) -> str:
+def emit_plot_data(series_path, columns) -> str:
     """Extract columns from a series.csv into a gnuplot-ready text block.
 
-    Returns the text; writes it to ``out_path`` when given.  Unknown
-    columns raise a ConfigError that lists what is available.
+    Unknown columns raise a ConfigError that lists what is available.
     """
     with open(series_path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -181,11 +166,7 @@ def emit_plot_data(series_path, columns, out_path=None) -> str:
     for ln in lines[1:]:
         cells = ln.split(",")
         out_lines.append(" ".join(cells[i] for i in idx))
-    text = "\n".join(out_lines) + "\n"
-    if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out_lines) + "\n"
 
 
 # ---------------------------------------------------------------- drivers
@@ -204,7 +185,7 @@ def _run_check_potential(cfg: RunConfig, outdir: Path) -> dict:
     )
     summary = {"hypotheses": report.as_dict(), "all_ok": report.all_ok()}
     rows = [[x, vv] for x, vv in zip(grid.x, v)]
-    _write_outputs(outdir, _with_meta(cfg, summary), ["x", "V"], rows)
+    _write_outputs(cfg, outdir, summary, ["x", "V"], rows)
     return summary
 
 
@@ -240,7 +221,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
             traj.times, traj.mass, traj.energy, traj.sup, traj.boundary_fraction, traj.high_mode
         )
     ]
-    _write_outputs(outdir, _with_meta(cfg, summary), header, rows)
+    _write_outputs(cfg, outdir, summary, header, rows)
     if cfg.get_bool("checkpoint.save", False):
         for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
             write_checkpoint(outdir / f"checkpoint_{i:04d}.snls", f, t)
@@ -270,7 +251,7 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
         "bounded_by_one": bool(np.max(ratios) <= 1.0),
     }
     rows = [[t, r] for t, r in zip(times, ratios)]
-    _write_outputs(outdir, _with_meta(cfg, summary), ["t", "decay_ratio"], rows)
+    _write_outputs(cfg, outdir, summary, ["t", "decay_ratio"], rows)
     return summary
 
 
@@ -307,7 +288,7 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
         ]
         for i, n in enumerate(study.ns)
     ]
-    _write_outputs(outdir, _with_meta(cfg, summary), header, rows)
+    _write_outputs(cfg, outdir, summary, header, rows)
     return summary
 
 
@@ -350,7 +331,7 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     }
     header = ["T", "wave_gap_h1"]
     rows = [[wave_times[i + 1], g] for i, g in enumerate(gaps)]
-    _write_outputs(outdir, _with_meta(cfg, summary), header, rows)
+    _write_outputs(cfg, outdir, summary, header, rows)
     return summary
 
 
@@ -397,7 +378,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
             report.times, report.density_series, report.residual_series, report.repulsive_series
         )
     ]
-    _write_outputs(outdir, _with_meta(cfg, summary), header, rows)
+    _write_outputs(cfg, outdir, summary, header, rows)
     return summary
 
 
@@ -428,7 +409,7 @@ def _run_translation_gap(cfg: RunConfig, outdir: Path) -> dict:
         "monotone_decreasing": by_side,
     }
     rows = [[s, g] for s, g in zip(shifts, gaps)]
-    _write_outputs(outdir, _with_meta(cfg, summary), ["shift", "gap"], rows)
+    _write_outputs(cfg, outdir, summary, ["shift", "gap"], rows)
     return summary
 
 
@@ -492,7 +473,7 @@ def _run_profiles(cfg: RunConfig, outdir: Path) -> dict:
     for j, pr in enumerate(result.profiles, start=1):
         for n, (ts, xs) in enumerate(zip(pr.t_shifts, pr.x_shifts)):
             rows.append([j, n, ts, xs])
-    _write_outputs(outdir, _with_meta(cfg, summary), header, rows)
+    _write_outputs(cfg, outdir, summary, header, rows)
     return summary
 
 
@@ -514,12 +495,8 @@ def _run_sweep(cfg: RunConfig, outdir: Path, threads: int) -> dict:
             sub.entries.pop(key, None)
         return _dispatch(sub, outdir / run_names[i], threads=1)
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(len(values))))
-    else:
-        for i in range(len(values)):
-            one(i)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(one, range(len(values))))
 
     summary = {
         "sub_experiment": sub_experiment,
@@ -530,23 +507,15 @@ def _run_sweep(cfg: RunConfig, outdir: Path, threads: int) -> dict:
     rows = [[v] for v in values] if all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ) else []
-    _write_outputs(outdir, _with_meta(cfg, summary), [parameter.replace(".", "_")], rows)
+    _write_outputs(cfg, outdir, summary, [parameter.replace(".", "_")], rows)
     return summary
-
-
-def _with_meta(cfg: RunConfig, summary: dict) -> dict:
-    return {
-        "experiment": cfg.experiment(),
-        "config": cfg.render(),
-        **summary,
-    }
 
 
 def _dispatch(cfg: RunConfig, outdir: Path, threads: int) -> dict:
     name = cfg.experiment()
     if name == "sweep":
         return _run_sweep(cfg, outdir, threads)
-    runner = {
+    return {
         "check_potential": _run_check_potential,
         "evolve": _run_evolve,
         "decay": _run_decay,
@@ -555,10 +524,7 @@ def _dispatch(cfg: RunConfig, outdir: Path, threads: int) -> dict:
         "morawetz": _run_morawetz,
         "translation_gap": _run_translation_gap,
         "profiles": _run_profiles,
-    }.get(name)
-    if runner is None:
-        raise ConfigError(f"unknown experiment {name!r}")
-    return runner(cfg, outdir)
+    }[name](cfg, outdir)
 
 
 def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:

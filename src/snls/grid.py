@@ -110,7 +110,7 @@ class ComplexField:
                 f"values must be a 1D array of length {self.grid.n_points}, "
                 f"got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise InvalidFieldError("field contains NaN or Inf samples")
         if v is self.values:
             v = v.copy()

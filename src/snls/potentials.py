@@ -24,7 +24,7 @@ dynamically by ``diagnostics.decay_ratio``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -165,29 +165,12 @@ class HypothesisReport:
     worst_violation: tuple  # (location, value) of max x*V'(x)
 
     def all_ok(self) -> bool:
-        return (
-            self.nonnegative
-            and self.bounded
-            and self.left_limit_ok
-            and self.right_limit_ok
-            and self.decay_rate_ok
-            and self.repulsive
-            and self.gradient_vanishes
-        )
+        return all(v for v in vars(self).values() if isinstance(v, bool))
 
     def as_dict(self) -> dict:
-        return {
-            "nonnegative": self.nonnegative,
-            "bounded": self.bounded,
-            "left_limit_ok": self.left_limit_ok,
-            "right_limit_ok": self.right_limit_ok,
-            "decay_rate_ok": self.decay_rate_ok,
-            "measured_exponent": self.measured_exponent,
-            "repulsive": self.repulsive,
-            "gradient_vanishes": self.gradient_vanishes,
-            "worst_violation_x": self.worst_violation[0],
-            "worst_violation_value": self.worst_violation[1],
-        }
+        d = asdict(self)
+        d["worst_violation_x"], d["worst_violation_value"] = d.pop("worst_violation")
+        return d
 
 
 LIMIT_TOL = 1e-6
@@ -262,7 +245,7 @@ def check_hypotheses(
     right = slice(n - quarter, n)
     dev_left = np.abs(V[left] - a_minus)
     dev_right = np.abs(V[right] - a_plus)
-    decay_rate_ok = finite and (
+    decay_rate_ok = finite and bool(
         _decay_ok_on_half(x[left], dev_left, epsilon)
         and _decay_ok_on_half(x[right], dev_right, epsilon)
     )

@@ -94,6 +94,17 @@ def substep_sizes(t: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
+def _frozen_potential(v, grid: Grid) -> np.ndarray:
+    """A read-only copy of potential samples v, checked to be finite on the grid."""
+    v = np.array(v, dtype=float)
+    if v.shape != (grid.n_points,):
+        raise GridMismatchError("potential samples do not match the grid")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("potential samples must be finite")
+    v.setflags(write=False)
+    return v
+
+
 def multiplier_cache(w: np.ndarray, dt: float):
     """h -> exp(-i*h*w), computed once for the recurring substeps +-dt and +-dt/2."""
     kept = functools.cache(lambda h: np.exp(-1j * h * w))
@@ -199,11 +210,7 @@ class PerturbedPropagator:
         method: str = "strang_splitting",
         dt: float = 1e-3,
     ):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (grid.n_points,):
-            raise GridMismatchError("potential samples do not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("potential samples must be finite")
+        v = _frozen_potential(v, grid)
         if method not in self.METHODS:
             raise ParameterError(f"method must be one of {self.METHODS}, got {method!r}")
         if method == "strang_splitting":
@@ -218,7 +225,6 @@ class PerturbedPropagator:
             )
         self.grid = grid
         self.v = v
-        v.setflags(write=False)
         self.method = method
         self.dt = float(dt)
         self._eig = None

@@ -21,7 +21,9 @@ extractions and the reconstruction defect measure convergence.
 The profile decomposition follows the constructive recipe of the
 concentration-compactness argument on a finite ensemble {v_n}: per slot,
 (i) for each n pick the time t_n maximizing |exp(it(dxx-V)) v_n|_Lq over a
-sampled window (the half-sup condition is then checked a posteriori),
+sampled window (the recipe only asks for at least half the sup; the window
+maximum meets that by construction, and times outside the window are not
+searched),
 (ii) recenter at the peak of the low-pass-filtered modulus (cutoff radius
 R = lambda^(-beta) with beta = 1 - 2/q, the embedding exponent at d = 1),
 (iii) form the profile as a robust ensemble average of the recentred
@@ -73,6 +75,10 @@ __all__ = [
     "ProfileSet",
     "greedy_profile_decomposition",
 ]
+
+SAMPLE_DT = 0.1  # time spacing of the translation-gap samples
+STOP_RATIO = 1e-3  # profile norm, relative to the largest member, that ends the search
+COHERENCE_THRESHOLD = 0.5  # least split-half correlation of an accepted profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +241,6 @@ def translation_flow_gap(
     x_shift: float,
     t_span: tuple,
     alpha: float = 5.0,
-    sample_dt: float = 0.1,
 ) -> float:
     """Discrete L^p_t L^r_x distance between the perturbed flow of the
     translated bump and its limiting comparison flow.
@@ -243,7 +248,7 @@ def translation_flow_gap(
     For x_shift < 0 the comparison flow is free (the potential vanishes on
     the far left); for x_shift > 0 it is the mass-shifted flow.  The gap
     must decrease as |x_shift| grows.  Exponents (p, r) come from the
-    nonlinearity power ``alpha``.
+    nonlinearity power ``alpha``.  The flows are sampled every SAMPLE_DT.
     """
     if x_shift == 0.0:
         raise ParameterError("x_shift must be nonzero (sign selects the channel)")
@@ -258,7 +263,7 @@ def translation_flow_gap(
     shifted = translate(psi, x_shift)
     reference = evolve_free if x_shift < 0 else evolve_shifted
 
-    n_samples = max(int(round((t1 - t0) / sample_dt)) + 1, 2)
+    n_samples = max(int(round((t1 - t0) / SAMPLE_DT)) + 1, 2)
     times = np.linspace(t0, t1, n_samples)
     norms = np.empty(n_samples)
     for k, (t, cur) in enumerate(zip(times, p.evolve_through(shifted, times))):
@@ -270,19 +275,11 @@ def translation_flow_gap(
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """One extracted profile with its shift parameters.
-
-    ``t_shift``/``x_shift`` are the parameters of the last (most
-    asymptotic) ensemble member; the full per-member arrays are kept in
-    ``t_shifts``/``x_shifts``.
-    """
+    """One extracted profile with its per-member time and space shifts."""
 
     psi: ComplexField
-    t_shift: float
-    x_shift: float
     t_shifts: np.ndarray
     x_shifts: np.ndarray
-    half_sup_ok: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,14 +333,13 @@ def greedy_profile_decomposition(
     q_exponent: float,
     t_window: float = 20.0,
     t_step: float = 0.1,
-    stop_ratio: float = 1e-3,
-    coherence_threshold: float = 0.5,
 ) -> ProfileSet:
     """Greedy extraction of up to ``j_max`` profiles from an ensemble.
 
     Stops as soon as a candidate profile has L2 norm below
-    ``stop_ratio * max_n |v_n|_L2`` or fails the split-half coherence test;
-    a rejected first candidate reports concentration level 0.
+    ``STOP_RATIO * max_n |v_n|_L2`` or split-half coherence below
+    COHERENCE_THRESHOLD; a rejected first candidate reports concentration
+    level 0.
     """
     if len(fields) < 3:
         raise InsufficientDataError("need an ensemble of at least 3 fields")
@@ -357,9 +353,8 @@ def greedy_profile_decomposition(
             raise ParameterError("ensemble members must share one grid")
 
     k_ens = len(fields)
-    originals = [f.copy() for f in fields]
-    residue = [f.values.copy() for f in fields]
-    stop_scale = max(l2_norm_sq(f) ** 0.5 for f in originals)
+    residue = [f.values for f in fields]
+    stop_scale = max(l2_norm_sq(f) ** 0.5 for f in fields)
     beta = 1.0 - 2.0 / q_exponent  # embedding exponent at d = 1
 
     n_t = int(round(t_window / t_step))
@@ -371,7 +366,6 @@ def greedy_profile_decomposition(
     for _ in range(j_max):
         best_states = []
         t_shifts = np.empty(k_ens)
-        half_sup_ok = True
         for n in range(k_ens):
             v_n = ComplexField(grid, residue[n])
             # sweep the window, keeping the first state of largest Lq norm
@@ -382,10 +376,6 @@ def greedy_profile_decomposition(
                     best_q, best_state, best_t = qn, state, t
             t_shifts[n] = best_t
             best_states.append(best_state)
-            # the window maximum is its own sup, so only an all-zero sweep
-            # fails the half-sup test
-            if best_q <= 0.0:
-                half_sup_ok = False
 
         # localization radius from the current concentration estimate
         first_pass = _median_field(
@@ -404,21 +394,12 @@ def greedy_profile_decomposition(
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
         coherence = _split_half_coherence(recentred, grid)
-        if cand_norm < stop_ratio * stop_scale or coherence < coherence_threshold:
+        if cand_norm < STOP_RATIO * stop_scale or coherence < COHERENCE_THRESHOLD:
             break
         if not profiles:
             concentration_level = cand_norm
 
-        profiles.append(
-            Profile(
-                psi=candidate,
-                t_shift=float(t_shifts[-1]),
-                x_shift=float(x_shifts[-1]),
-                t_shifts=t_shifts.copy(),
-                x_shifts=x_shifts.copy(),
-                half_sup_ok=half_sup_ok,
-            )
-        )
+        profiles.append(Profile(psi=candidate, t_shifts=t_shifts, x_shifts=x_shifts))
         for n in range(k_ens):
             # v_n <- v_n - exp(-i t_n (dxx-V)) tau_{x_n} psi
             placed = translate(candidate, x_shifts[n])
@@ -426,7 +407,7 @@ def greedy_profile_decomposition(
             residue[n] = residue[n] - removed.values
 
     remainder = ComplexField(grid, residue[-1])
-    last = originals[-1]
+    last = fields[-1]
     mass_defect = (
         l2_norm_sq(last)
         - sum(l2_norm_sq(pr.psi) for pr in profiles)
@@ -434,13 +415,13 @@ def greedy_profile_decomposition(
     )
     h1v_defect = (
         h1v_norm_sq(last, p.v)
-        - sum(h1v_norm_sq(translate(pr.psi, pr.x_shift), p.v) for pr in profiles)
+        - sum(h1v_norm_sq(translate(pr.psi, pr.x_shifts[-1]), p.v) for pr in profiles)
         - h1v_norm_sq(remainder, p.v)
     )
     q = q_exponent
     lq_defect = lp_norm(last, q) ** q - lp_norm(remainder, q) ** q
     for pr in profiles:
-        placed = p.evolve(translate(pr.psi, pr.x_shift), -pr.t_shift)
+        placed = p.evolve(translate(pr.psi, pr.x_shifts[-1]), -pr.t_shifts[-1])
         lq_defect -= lp_norm(placed, q) ** q
 
     return ProfileSet(

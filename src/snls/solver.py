@@ -35,11 +35,12 @@ from .grid import (
     l2_norm_sq,
     sup_norm,
 )
-from .propagators import local_phase, multiplier_cache, strang
+from .propagators import _frozen_potential, local_phase, multiplier_cache, strang
 
 __all__ = ["NlsProblem", "Trajectory", "solve", "phase_substep"]
 
 BLOWUP_FACTOR = 1e6
+SNAPSHOT_TOL = 1e-9  # a snapshot time matches a requested time this closely
 BOUNDARY_WARN_FRACTION = 0.01
 HIGH_MODE_WARN_FRACTION = 1e-8
 
@@ -66,13 +67,7 @@ class NlsProblem:
     permissive: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (self.grid.n_points,):
-            raise GridMismatchError("potential samples do not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("potential samples must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _frozen_potential(self.v, self.grid))
         if not self.u0.grid.same_as(self.grid):
             raise GridMismatchError("u0 does not live on the problem grid")
         if self.permissive:
@@ -117,8 +112,8 @@ class Trajectory:
     high_mode: np.ndarray
     warnings: tuple = field(default_factory=tuple)
 
-    def snapshot_index(self, t: float, tol: float = 1e-9) -> Optional[int]:
-        hits = np.nonzero(np.abs(self.times - t) <= tol)[0]
+    def snapshot_index(self, t: float) -> Optional[int]:
+        hits = np.nonzero(np.abs(self.times - t) <= SNAPSHOT_TOL)[0]
         return int(hits[0]) if hits.size else None
 
     def field_at(self, t: float) -> ComplexField:

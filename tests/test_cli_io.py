@@ -1,19 +1,36 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snls
 from snls.checkpoint import read_checkpoint, write_checkpoint
 from snls.cli import main
 from snls.config import parse_config_text
 from snls.errors import ConfigError, ParameterError
-from snls.experiments import emit_plot_data, run
+from snls.experiments import _write_outputs, emit_plot_data, run
+
+examples = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+# finite reals, with signed zeros, subnormals and values near the overflow edge
+edge_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _checkpoint_bytes(n_points, length, version=1, magic=b"SNLS"):
+    """A checkpoint file with the given header and an all-zero payload."""
+    return struct.pack("<4sIQdd", magic, version, n_points, length, 0.0) + bytes(16 * n_points)
 
 
 class TestCheckpoint:
@@ -47,6 +64,24 @@ class TestCheckpoint:
         stub.write_bytes(b"SN")
         with pytest.raises(ParameterError, match="truncated"):
             read_checkpoint(stub)
+
+    @examples
+    @given(
+        st.sampled_from([16, 32]).flatmap(
+            lambda n: st.lists(st.tuples(edge_reals, edge_reals), min_size=n, max_size=n)
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_round_trip_property(self, pairs, time):
+        values = np.array([complex(re, im) for re, im in pairs])
+        field = snls.ComplexField(snls.Grid(len(pairs), 10.0), values)
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.snls", Path(tmp) / "b.snls"
+            write_checkpoint(p1, field, time)
+            snap = read_checkpoint(p1)
+            assert snap.values.tobytes() == values.tobytes()
+            write_checkpoint(p2, snap.to_field(), snap.time)
+            assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestConfigParsing:
@@ -85,6 +120,46 @@ class TestConfigParsing:
     def test_render_is_canonical(self):
         cfg = parse_config_text("b = 2\na = 0.1\nc = true\n")
         assert cfg.render() == "a = 0.10000000000000001\nb = 2\nc = true\n"
+
+    def test_comma_values(self):
+        cfg = parse_config_text(
+            "note = first run, small grid\nmixed = 1.0, two\none = 1.5,\nsep = ,\n"
+        )
+        assert cfg.get_str("note") == "first run, small grid"
+        assert cfg.get_str("mixed") == "1.0, two"
+        assert cfg.get_float_list("one") == [1.5]
+        assert cfg.get_str("sep") == ","
+        assert "one = 1.5,\n" in cfg.render()
+
+    @examples
+    @given(
+        st.dictionaries(
+            st.from_regex(r"[a-z][a-z0-9_]{0,5}(\.[a-z][a-z0-9_]{0,5}){0,2}", fullmatch=True),
+            st.one_of(
+                st.sampled_from(["true", "false", "TRUE", ""]),
+                st.integers(-(10**20), 10**20).map(str),
+                st.floats(allow_nan=False).map(repr),
+                st.lists(st.floats(allow_nan=False), min_size=1, max_size=4).map(
+                    lambda xs: ", ".join(map(repr, xs))
+                ),
+                st.lists(st.floats(allow_nan=False), min_size=1, max_size=3).map(
+                    lambda xs: ",".join(map(repr, xs)) + ","
+                ),
+                # NaN is unequal to itself, so no generated text may parse to it
+                st.text("abfinrtu 0123456789.,+-_:/()=", max_size=24).filter(
+                    lambda s: "nan" not in s.lower()
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_render_round_trip(self, lines):
+        cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        text = cfg.render()
+        again = parse_config_text(text)
+        assert again.entries == cfg.entries
+        assert again.render() == text
 
 
 EVOLVE_CFG = """
@@ -290,10 +365,49 @@ class TestExperiments:
         ]
         assert "solver.alpha = 4.5" in alphas[0]
 
+    def test_sweep_over_strings_rejected_before_runs(self, tmp_path):
+        cfg = parse_config_text(
+            EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+            + "sweep.experiment = evolve\nsweep.parameter = potential.family\n"
+            + "sweep.values = flat, logistic_step\n"
+        )
+        with pytest.raises(ConfigError, match="nonempty list"):
+            run(cfg, output_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
     def test_missing_output_dir_rejected(self):
         cfg = parse_config_text(EVOLVE_CFG)
         with pytest.raises(ConfigError, match="output"):
             run(cfg)
+
+
+class TestWriter:
+    def test_numpy_values_write_like_python_values(self, tmp_path):
+        cfg = parse_config_text("experiment = evolve\nnote = a, b\n")
+        as_numpy = {
+            "f": np.float64(0.1),
+            "i": np.int64(-7),
+            "b": np.bool_(True),
+            "a": np.array([0.5, 1e-300, -0.0]),
+            "nested": [[np.float64(1.5), np.int64(2)], (np.bool_(False), np.array([3]))],
+            "d": {"g": np.float64(2.5)},
+        }
+        as_python = {
+            "f": 0.1,
+            "i": -7,
+            "b": True,
+            "a": [0.5, 1e-300, -0.0],
+            "nested": [[1.5, 2], [False, [3]]],
+            "d": {"g": 2.5},
+        }
+        rows = [[np.float64(0.25), np.int64(3)]]
+        _write_outputs(cfg, tmp_path / "np", as_numpy, ["x", "n"], rows)
+        _write_outputs(cfg, tmp_path / "py", as_python, ["x", "n"], [[0.25, 3]])
+        for name in ("summary.json", "series.csv"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+        summary = json.loads((tmp_path / "np" / "summary.json").read_text())
+        assert summary["experiment"] == "evolve"
+        assert summary["config"] == cfg.render()
 
 
 class TestPlotData:
@@ -474,6 +588,61 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "InstabilityError"
+
+    def test_comma_string_value_exit_0(self, tmp_path):
+        cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "note = first run, small grid\n")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "note = first run, small grid\n" in summary["config"]
+        assert (out / "series.csv").exists()
+
+    def _checkpoint_cfg(self, tmp_path, snap):
+        start = f"initial.kind = checkpoint\ninitial.checkpoint = {snap}"
+        return self._write_cfg(tmp_path, EVOLVE_CFG.replace("initial.kind = gaussian", start))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            _checkpoint_bytes(256, 40.0, magic=b"XXXX"),
+            _checkpoint_bytes(256, 40.0, version=2),
+            _checkpoint_bytes(256, 40.0)[:20],
+            _checkpoint_bytes(256, 40.0)[:-16],
+            _checkpoint_bytes(100, 40.0),
+            _checkpoint_bytes(8, 40.0),
+            _checkpoint_bytes(256, float("nan")),
+            _checkpoint_bytes(256, -40.0),
+        ],
+        ids=[
+            "bad_magic",
+            "bad_version",
+            "truncated_header",
+            "short_payload",
+            "n_points_not_power_of_two",
+            "n_points_below_16",
+            "length_not_finite",
+            "length_not_positive",
+        ],
+    )
+    def test_corrupt_checkpoint_exit_4(self, tmp_path, capsys, raw):
+        snap = tmp_path / "u0.snls"
+        snap.write_bytes(raw)
+        cfg = self._checkpoint_cfg(tmp_path, snap)
+        code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CheckpointError"
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_on_other_grid_exit_2(self, tmp_path, capsys):
+        snap = tmp_path / "u0.snls"
+        write_checkpoint(snap, snls.gaussian_packet(snls.Grid(512, 40.0)), 0.0)
+        cfg = self._checkpoint_cfg(tmp_path, snap)
+        code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "does not match" in err["message"]
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SNLS_THREADS", "2")

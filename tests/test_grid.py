@@ -53,6 +53,12 @@ class TestComplexField:
         bad[3] = np.inf
         with pytest.raises(InvalidFieldError):
             snls.ComplexField(grid_small, bad)
+        bad[3] = complex(0.0, np.nan)
+        with pytest.raises(InvalidFieldError):
+            snls.ComplexField(grid_small, bad)
+        bad[3] = complex(0.0, np.inf)
+        with pytest.raises(InvalidFieldError):
+            snls.ComplexField(grid_small, bad)
 
     def test_values_read_only(self, grid_small):
         f = snls.gaussian_packet(grid_small)

@@ -136,6 +136,15 @@ class TestPerturbed:
         with pytest.raises(CapabilityError):
             snls.PerturbedPropagator(big, np.zeros(2048), method="eigendecomposition")
 
+    def test_caller_potential_stays_writable(self, barrier):
+        g, v = barrier
+        mine = v.copy()
+        p = snls.PerturbedPropagator(g, mine, dt=0.01)
+        mine[0] = 1.0
+        assert p.v[0] == v[0]
+        with pytest.raises(ValueError):
+            p.v[0] = 1.0
+
     def test_grid_mismatch_on_evolve(self, barrier):
         g, v = barrier
         p = snls.PerturbedPropagator(g, v, dt=0.01)

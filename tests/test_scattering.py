@@ -193,7 +193,6 @@ class TestProfileDecomposition:
         assert l2_dist(pr.psi, base) < 1e-6
         assert snls.l2_norm_sq(res.remainder) ** 0.5 < 1e-6
         assert np.allclose(pr.x_shifts, shifts)
-        assert pr.half_sup_ok
         assert res.concentration_level == pytest.approx(snls.l2_norm_sq(base) ** 0.5, rel=1e-6)
 
     def test_two_profiles_recovered(self, free_prop):

@@ -45,6 +45,15 @@ class TestProblemValidation:
         p = make_problem(g, v, u0, record_times=[0.5, 1.0])
         assert p.record_times[0] == 0.0
 
+    def test_caller_potential_stays_writable(self, setup):
+        g, v = setup
+        mine = v.copy()
+        problem = make_problem(g, mine, snls.gaussian_packet(g))
+        mine[0] = 1.0
+        assert problem.v[0] == v[0]
+        with pytest.raises(ValueError):
+            problem.v[0] = 1.0
+
     def test_grid_mismatch(self, setup):
         g, v = setup
         u0 = snls.gaussian_packet(snls.Grid(256, 100.0))
