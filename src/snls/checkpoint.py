@@ -11,8 +11,8 @@ Layout (little-endian throughout):
     32      16*N  payload: N interleaved (re, im) f64 pairs
 
 Write -> read -> write round-trips bit-identically.  A file that does not
-follow this layout, or whose header grid is not a valid ``Grid``, raises
-``CheckpointError``.
+follow this layout, whose header grid is not a valid ``Grid``, or whose
+payload holds NaN or Inf, raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -74,4 +74,6 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: bad header grid: {exc}") from exc
     # read the (re, im) pairs as complex directly: re + 1j*im would lose the sign of a zero
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: payload holds NaN or Inf samples")
     return Checkpoint(n_points=int(n_points), length=length, time=time, values=values)

@@ -3,8 +3,9 @@
     snls <experiment> --config <path> [--output-dir <path>] [--threads N]
     snls plot-data <series.csv> --columns t,mass [--out <path>]
 
-SNLS_THREADS is the fallback worker count for sweeps.  Exit codes:
-0 ok, 2 config error, 3 numerical instability, 4 I/O error.
+--threads is accepted and checked (N >= 1); sweep points run in order in
+one thread.  Exit codes: 0 ok, 2 config error, 3 numerical instability,
+4 I/O error.
 Failures print a machine-readable JSON object on stderr.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import EXPERIMENTS, parse_config
@@ -38,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="sweep workers (default: SNLS_THREADS or 1)",
+            default=1,
+            help="accepted; sweep points run in order in one thread",
         )
     plot = sub.add_parser("plot-data", help="extract series columns for gnuplot")
     plot.add_argument("series", help="a series.csv produced by a run")
@@ -73,13 +73,6 @@ def main(argv=None) -> int:
                 return _fail("IOError", str(exc), EXIT_IO)
         return EXIT_OK
 
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = int(os.environ.get("SNLS_THREADS", "1"))
-        except ValueError:
-            threads = 1
-
     try:
         cfg = parse_config(args.config)
         if cfg.experiment() != args.command:
@@ -87,7 +80,7 @@ def main(argv=None) -> int:
                 f"config declares experiment={cfg.experiment()!r} "
                 f"but the command line asked for {args.command!r}"
             )
-        run(cfg, output_dir=args.output_dir, threads=threads)
+        run(cfg, output_dir=args.output_dir, threads=args.threads)
     except ConfigError as exc:
         return _fail("ConfigError", str(exc), EXIT_CONFIG)
     except InstabilityError as exc:

@@ -7,7 +7,6 @@ its output directory; identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from pathlib import Path
 
@@ -477,7 +476,7 @@ def _run_profiles(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-def _run_sweep(cfg: RunConfig, outdir: Path, threads: int) -> dict:
+def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     sub_experiment = cfg.get_str("sweep.experiment")
     if sub_experiment == "sweep":
         raise ConfigError("sweep cannot nest")
@@ -487,16 +486,11 @@ def _run_sweep(cfg: RunConfig, outdir: Path, threads: int) -> dict:
         raise ConfigError("sweep.values must be a nonempty list")
 
     run_names = [f"run_{i:03d}" for i in range(len(values))]
-
-    def one(i: int):
-        sub = cfg.with_override("experiment", sub_experiment)
-        sub = sub.with_override(parameter, values[i])
+    for name, value in zip(run_names, values):
+        sub = cfg.with_override("experiment", sub_experiment).with_override(parameter, value)
         for key in ("sweep.experiment", "sweep.parameter", "sweep.values"):
             sub.entries.pop(key, None)
-        return _dispatch(sub, outdir / run_names[i], threads=1)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(one, range(len(values))))
+        _dispatch(sub, outdir / name)
 
     summary = {
         "sub_experiment": sub_experiment,
@@ -511,10 +505,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path, threads: int) -> dict:
     return summary
 
 
-def _dispatch(cfg: RunConfig, outdir: Path, threads: int) -> dict:
-    name = cfg.experiment()
-    if name == "sweep":
-        return _run_sweep(cfg, outdir, threads)
+def _dispatch(cfg: RunConfig, outdir: Path) -> dict:
     return {
         "check_potential": _run_check_potential,
         "evolve": _run_evolve,
@@ -524,11 +515,16 @@ def _dispatch(cfg: RunConfig, outdir: Path, threads: int) -> dict:
         "morawetz": _run_morawetz,
         "translation_gap": _run_translation_gap,
         "profiles": _run_profiles,
-    }[name](cfg, outdir)
+        "sweep": _run_sweep,
+    }[cfg.experiment()](cfg, outdir)
 
 
 def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
-    """Validate, execute, and write artifacts; returns the summary dict."""
+    """Validate, execute, and write artifacts; returns the summary dict.
+
+    ``threads`` is checked and otherwise unused: sweep points run in order
+    in one thread.
+    """
     if output_dir is None:
         output_dir = cfg.get_str("output_dir", "")
         if not output_dir:
@@ -537,5 +533,4 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
             )
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    outdir = Path(output_dir)
-    return _dispatch(cfg, outdir, threads)
+    return _dispatch(cfg, Path(output_dir))

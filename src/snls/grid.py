@@ -158,6 +158,11 @@ def l1_norm(f: ComplexField) -> float:
     return float(np.sum(np.abs(v)) * f.grid.dx)
 
 
+def _lp_rows(v: np.ndarray, p: float, dx: float):
+    """(sum |v|^p dx)^(1/p) along the last axis of raw samples, 1 <= p < inf."""
+    return (np.sum(np.abs(v) ** p, axis=-1) * dx) ** (1.0 / p)
+
+
 def lp_norm(f: ComplexField, p: float) -> float:
     """L^p norm by the rectangle rule; p = inf gives the sup norm."""
     v = f.values
@@ -165,7 +170,7 @@ def lp_norm(f: ComplexField, p: float) -> float:
         return float(np.max(np.abs(v)))
     if p < 1:
         raise ParameterError(f"p must be >= 1 or inf, got {p}")
-    return float((np.sum(np.abs(v) ** p) * f.grid.dx) ** (1.0 / p))
+    return float(_lp_rows(v, p, f.grid.dx))
 
 
 def sup_norm(f: ComplexField) -> float:

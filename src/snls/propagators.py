@@ -250,10 +250,18 @@ class PerturbedPropagator:
             raise ParameterError(f"evolution times must be a finite 1D sequence, got {times!r}")
         if not f.grid.same_as(self.grid):
             raise GridMismatchError("field and propagator grids differ")
+        return (ComplexField(self.grid, u) for u in self._flow(f.values, times))
+
+    def _flow(self, u: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
+        """The flow of raw samples u, shape (N,) or a (B, N) stack of rows, at each time.
+
+        Unchecked: the caller validates u and the times.  The splitting path
+        overwrites and yields one buffer; ``np.fft`` works along the last
+        axis and the multipliers broadcast, so each row is bit for bit its
+        own (N,) flow.
+        """
         if self.method == "eigendecomposition":
             energies, modes = self._eigensystem()
-            coeff = modes.T @ f.values
-            flow = (modes @ (np.exp(-1j * energies * t) * coeff) for t in times)
-        else:
-            flow = strang(f.values.copy(), np.diff(times, prepend=0.0), self.dt, *self._rules)
-        return (ComplexField(self.grid, u) for u in flow)
+            coeff = u @ modes
+            return ((np.exp(-1j * energies * t) * coeff) @ modes.T for t in times)
+        return strang(np.array(u), np.diff(times, prepend=0.0), self.dt, *self._rules)

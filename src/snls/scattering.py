@@ -54,6 +54,7 @@ from .errors import (
 )
 from .grid import (
     ComplexField,
+    _lp_rows,
     h1_norm_sq,
     inner_product,
     l2_norm_sq,
@@ -353,7 +354,7 @@ def greedy_profile_decomposition(
             raise ParameterError("ensemble members must share one grid")
 
     k_ens = len(fields)
-    residue = [f.values for f in fields]
+    residue = np.stack([f.values for f in fields])
     stop_scale = max(l2_norm_sq(f) ** 0.5 for f in fields)
     beta = 1.0 - 2.0 / q_exponent  # embedding exponent at d = 1
 
@@ -364,32 +365,27 @@ def greedy_profile_decomposition(
     concentration_level = 0.0
 
     for _ in range(j_max):
-        best_states = []
+        # sweep the window of every member at once, keeping per member the
+        # first state of largest Lq norm
+        best_q = np.full(k_ens, -1.0)
         t_shifts = np.empty(k_ens)
-        for n in range(k_ens):
-            v_n = ComplexField(grid, residue[n])
-            # sweep the window, keeping the first state of largest Lq norm
-            best_q = -1.0
-            for t, state in zip(search_times, p.evolve_through(v_n, search_times)):
-                qn = lp_norm(state, q_exponent)
-                if qn > best_q:
-                    best_q, best_state, best_t = qn, state, t
-            t_shifts[n] = best_t
-            best_states.append(best_state)
+        best = np.empty_like(residue)
+        for t, states in zip(search_times, p._flow(residue, search_times)):
+            qn = _lp_rows(states, q_exponent, grid.dx)
+            better = qn > best_q
+            best_q[better], t_shifts[better], best[better] = qn[better], t, states[better]
 
         # localization radius from the current concentration estimate
-        first_pass = _median_field(
-            np.stack([s.values for s in best_states])
-        )
+        first_pass = _median_field(best)
         lam_est = l2_norm_sq(ComplexField(grid, first_pass)) ** 0.5
         radius = float(np.clip(lam_est ** (-beta) if lam_est > 0 else 1.0, 0.5, 8.0))
 
         x_shifts = np.empty(k_ens)
         recentred = np.empty((k_ens, grid.n_points), dtype=np.complex128)
-        for n, state in enumerate(best_states):
-            smooth = np.abs(_lowpass(state.values, grid, radius))
+        for n, state in enumerate(best):
+            smooth = np.abs(_lowpass(state, grid, radius))
             x_shifts[n] = grid.x[int(np.argmax(smooth))]
-            recentred[n] = translate(state, -x_shifts[n]).values
+            recentred[n] = translate(ComplexField(grid, state), -x_shifts[n]).values
 
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
@@ -404,7 +400,7 @@ def greedy_profile_decomposition(
             # v_n <- v_n - exp(-i t_n (dxx-V)) tau_{x_n} psi
             placed = translate(candidate, x_shifts[n])
             removed = p.evolve(placed, -t_shifts[n])
-            residue[n] = residue[n] - removed.values
+            residue[n] -= removed.values
 
     remainder = ComplexField(grid, residue[-1])
     last = fields[-1]

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import snls
+
+# property tests replay the same examples on every run and keep no example database
+settings.register_profile("snls", deadline=None, derandomize=True, database=None)
+settings.load_profile("snls")
 
 
 @pytest.fixture(scope="session")

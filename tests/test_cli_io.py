@@ -19,7 +19,7 @@ from snls.config import parse_config_text
 from snls.errors import ConfigError, ParameterError
 from snls.experiments import _write_outputs, emit_plot_data, run
 
-examples = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+examples = settings(max_examples=50)
 
 # finite reals, with signed zeros, subnormals and values near the overflow edge
 edge_reals = st.one_of(
@@ -612,6 +612,8 @@ class TestCli:
             _checkpoint_bytes(8, 40.0),
             _checkpoint_bytes(256, float("nan")),
             _checkpoint_bytes(256, -40.0),
+            _checkpoint_bytes(256, 40.0)[:-16] + struct.pack("<dd", 0.0, math.nan),
+            _checkpoint_bytes(256, 40.0)[:-16] + struct.pack("<dd", math.inf, 0.0),
         ],
         ids=[
             "bad_magic",
@@ -622,6 +624,8 @@ class TestCli:
             "n_points_below_16",
             "length_not_finite",
             "length_not_positive",
+            "nan_payload",
+            "inf_payload",
         ],
     )
     def test_corrupt_checkpoint_exit_4(self, tmp_path, capsys, raw):
@@ -644,12 +648,16 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert "does not match" in err["message"]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNLS_THREADS", "2")
+    def test_threads_leave_sweep_artifacts_unchanged(self, tmp_path):
         cfg = self._write_cfg(
             tmp_path,
             EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
             + "sweep.experiment = evolve\nsweep.parameter = initial.amplitude\nsweep.values = 0.2, 0.4\n",
         )
-        assert main(["sweep", "--config", str(cfg), "--output-dir", str(tmp_path / "sw")]) == 0
-        assert (tmp_path / "sw" / "run_001" / "series.csv").exists()
+        outs = {n: tmp_path / f"sw{n}" for n in (1, 2)}
+        for n, out in outs.items():
+            argv = ["sweep", "--config", str(cfg), "--output-dir", str(out), "--threads", str(n)]
+            assert main(argv) == 0
+        for run_name in ("run_000", "run_001"):
+            for name in ("summary.json", "series.csv"):
+                assert (outs[1] / run_name / name).read_bytes() == (outs[2] / run_name / name).read_bytes()

@@ -9,7 +9,9 @@ roundoff on every snapshot.
 
 ``PerturbedPropagator.evolve_through`` samples the linear flow at a list of
 times in one sweep; it must reproduce chained ``evolve`` calls bit for bit
-on the splitting path and to roundoff on the eigendecomposition path.
+on the splitting path and to roundoff on the eigendecomposition path.  The
+same flow run on a (B, N) stack of rows must reproduce each row's own
+sweep, and so must the profile search that runs its ensemble as one stack.
 """
 
 import numpy as np
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 import snls
 from snls.errors import GridMismatchError, ParameterError
-from snls.propagators import substep_sizes
+from snls.propagators import local_phase, multiplier_cache, strang, substep_sizes
+from snls.scattering import _lowpass, _median_field
 
-examples = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+examples = settings(max_examples=30)
 # coarse grids trip the resolution and wrap-around monitors, which these
 # comparisons of two integrators do not depend on
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -151,7 +154,6 @@ def test_phase_substep_keeps_modulus(seed, alpha, dt, scale):
 
 
 
-
 def _repeat(times, k):
     k %= len(times)
     return times[: k + 1] + times[k:]
@@ -207,3 +209,84 @@ def test_evolve_through_rejects_bad_input(method, times, at, bad):
     other = snls.gaussian_packet(snls.Grid(grid.n_points, 2.0 * grid.length))
     with pytest.raises(GridMismatchError):
         p.evolve_through(other, times)
+
+
+@examples
+@given(grids, heights, st.floats(2e-3, 2e-2), st.integers(1, 60), amplitudes, momenta,
+       st.floats(4.5, 7.0), st.booleans())
+def test_strang_backward_undoes_forward(n_exp, height, dt, k, amplitude, momentum, alpha,
+                                        linear):
+    # a span on the step lattice takes no remainder substep, so the backward
+    # span runs the same substeps in reverse and undoes the forward one
+    grid, v, u0 = setting(n_exp, height, amplitude, momentum)
+    kinetic = multiplier_cache(grid.wavenumbers**2, dt)
+    phase = local_phase(v, None if linear else alpha, dt)
+    u = u0.values.copy()
+    for _ in strang(u, [k * dt, -k * dt], dt, kinetic, phase):
+        pass
+    assert rel_l2(u, u0.values) <= TOL
+
+
+def packets(grid, seed, count):
+    rng = np.random.default_rng(seed)
+    return np.stack([
+        snls.gaussian_packet(grid, amplitude=rng.uniform(0.05, 1.0), width=rng.uniform(1.0, 3.0),
+                             center=rng.uniform(-5.0, 5.0), momentum=rng.uniform(-2.0, 2.0)).values
+        for _ in range(count)
+    ])
+
+
+@examples
+@given(st.sampled_from(snls.PerturbedPropagator.METHODS), grids, heights,
+       st.floats(5e-3, 0.1), time_lists, st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_flow_is_per_row_evolve_through(method, n_exp, height, dt, times, count,
+                                                seed):
+    grid, v, _ = setting(n_exp, height, 1.0, 0.0)
+    p = snls.PerturbedPropagator(grid, v, method=method, dt=dt)
+    rows = packets(grid, seed, count)
+    # the splitting path yields one buffer, overwritten at each time
+    stacked = [u.copy() for u in p._flow(rows, np.asarray(times))]
+    assert len(stacked) == len(times)
+    for n, row in enumerate(rows):
+        for u, f in zip(stacked, p.evolve_through(snls.ComplexField(grid, row), times)):
+            if method == "strang_splitting":
+                assert np.array_equal(u[n], f.values)
+            else:
+                assert rel_l2(u[n], f.values) <= TOL
+
+
+def test_profile_search_is_per_member_search_on_eigendecomposition():
+    grid = snls.Grid(128, 40.0)
+    v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), grid)
+    p = snls.PerturbedPropagator(grid, v, method="eigendecomposition")
+    q, t_window, t_step = 7.0, 2.0, 0.1
+    times = t_step * np.arange(-20, 21)
+    big = snls.gaussian_packet(grid, amplitude=1.0)
+    small = snls.gaussian_packet(grid, amplitude=0.8, width=1.5)
+    # two bumps per member, both refocusing at the member's own search time
+    fields = []
+    for n, k in enumerate((25, 17, 30, 20, 12, 34)):
+        a_n = grid.dx * (16 + 3 * n)
+        pair = snls.translate(big, a_n).values + snls.translate(small, -a_n).values
+        fields.append(p.evolve(snls.ComplexField(grid, pair), -times[k]))
+    result = snls.greedy_profile_decomposition(fields, p, j_max=2, q_exponent=q,
+                                               t_window=t_window, t_step=t_step)
+    assert len(result.profiles) == 2
+
+    # the search written member by member, one evolve_through sweep each
+    residue = [f.values for f in fields]
+    for pr in result.profiles:
+        t_shifts, best = [], []
+        for r in residue:
+            states = list(p.evolve_through(snls.ComplexField(grid, r), times))
+            k = int(np.argmax([snls.lp_norm(s, q) for s in states]))  # the first maximum
+            t_shifts.append(times[k])
+            best.append(states[k].values)
+        lam = snls.l2_norm_sq(snls.ComplexField(grid, _median_field(np.stack(best)))) ** 0.5
+        radius = float(np.clip(lam ** (-(1.0 - 2.0 / q)), 0.5, 8.0))
+        x_shifts = [grid.x[int(np.argmax(np.abs(_lowpass(b, grid, radius))))] for b in best]
+        assert np.array_equal(pr.t_shifts, t_shifts)
+        assert np.array_equal(pr.x_shifts, x_shifts)
+        for n in range(len(residue)):
+            placed = snls.translate(pr.psi, x_shifts[n])
+            residue[n] = residue[n] - p.evolve(placed, -t_shifts[n]).values
