@@ -37,7 +37,7 @@ Recognized keys (see README for the per-experiment required sets):
     solver.linear             drop the nonlinear term
     solver.permissive         allow alpha <= 4
     propagator.method         strang_splitting | eigendecomposition
-    propagator.dt             splitting substep
+    propagator.dt             splitting substep (channels: equal to solver.dt)
     decay.times               probe times (list), or decay.t_min/t_max/num
     channels.n_max            subsequence depth
     channels.wave_times       wave-operator pullback times (list)

@@ -112,28 +112,32 @@ def multiplier_cache(w: np.ndarray, dt: float):
 
 
 def local_phase(v: np.ndarray, alpha, dt: float):
-    """The rule phase(u, tau): u *= exp(-i*tau*(V + |u|^alpha)), returning sup|u|.
+    """The rule phase(u, tau): u *= exp(-i*tau*(V + |u|^alpha)), returning sup|u| per row.
 
-    |u|^alpha is d**(alpha/2), d = re^2 + im^2, in the rule's own scratch
-    buffers (one rule per thread).  alpha=None: the linear exp(-i*tau*V).
+    u has the broadcast shape of v and alpha: (N,), or a (B, N) stack of
+    rows with alpha of shape (B, 1), one power per row.  |u|^alpha is
+    d**(alpha/2), d = re^2 + im^2, in the rule's own scratch buffers of that
+    shape (one rule per thread).  alpha=None: the linear exp(-i*tau*V),
+    which reads no sup and returns None.
     """
     if alpha is None:
         mult = multiplier_cache(v, dt)
 
         def phase(u, tau):
             u *= mult(tau)
-            return 0.0
 
         return phase
-    d, tmp = np.empty(v.shape), np.empty(v.shape)
-    ph = np.empty(v.shape, dtype=np.complex128)
+    shape = np.broadcast_shapes(v.shape, np.shape(alpha))
+    d, tmp = np.empty(shape), np.empty(shape)
+    ph = np.empty(shape, dtype=np.complex128)
+    half_alpha = 0.5 * alpha
 
     def phase(u, tau):
         np.multiply(u.real, u.real, out=d)
         np.multiply(u.imag, u.imag, out=tmp)
         np.add(d, tmp, out=d)
-        amax = math.sqrt(d.max())
-        np.power(d, 0.5 * alpha, out=d)
+        amax = np.sqrt(d.max(axis=-1))
+        np.power(d, half_alpha, out=d)
         np.add(d, v, out=d)
         np.multiply(d, -tau, out=d)
         np.cos(d, out=ph.real)
@@ -144,29 +148,40 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     return phase
 
 
-def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard: float = math.inf):
+def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard=math.inf):
     """Strang splitting of raw samples u, in place; yields u after each signed span.
 
-    The local flow keeps |u|, so the closing half phase of substep h_k and
-    the opening one of h_{k+1} merge into one phase of (h_k + h_{k+1})/2:
+    u is (N,) or a (B, N) stack of rows; ``np.fft`` works along the last
+    axis and the rules broadcast, so each row is bit for bit its own (N,)
+    run.  The local flow keeps |u|, so the closing half phase of substep h_k
+    and the opening one of h_{k+1} merge into one phase of (h_k + h_{k+1})/2:
     a span takes one phase at each joint between its substeps, a half phase
     at either end, and fft, x kinetic(h), ifft for each substep h, so every
-    yield is an exact Strang state.  The guard reads ``not (sup|u| <= guard)``
-    so that NaN trips it too.  A phase reports sup|u| of its input, so a
-    finite guard reads sup|u| after the closing half phase of a span instead:
-    no later phase would see a NaN made there by |u|^alpha overflowing.
+    yield is an exact Strang state.  The guard, a number or one per row,
+    reads ``not (sup|u| <= guard)`` row by row so that NaN trips it too,
+    and the error names the first row that tripped.  A phase reports sup|u|
+    of its input, so a finite guard reads sup|u| after the closing half
+    phase of a span instead: no later phase would see a NaN made there by
+    |u|^alpha overflowing.
     """
     buf, t, n_done = np.empty_like(u), 0.0, 0
+    close_check = np.min(guard) < math.inf
+    # a single row compares scalars: ndarray.all on a numpy bool costs more
+    # than the comparison itself, on every step
+    passed = np.ndarray.all if u.ndim > 1 else bool
     for span in spans:
         n_full, rem = substep_sizes(span, dt)
         steps = [math.copysign(dt, span)] * n_full + ([math.copysign(rem, span)] if rem else [])
         for k, (h_prev, h) in enumerate(itertools.pairwise([0.0] + steps + [0.0])):
             amax = phase(u, 0.5 * (h_prev + h))
-            if not h and guard < math.inf:
-                amax = np.abs(u).max()
-            if not (amax <= guard):
+            if not h and close_check:
+                amax = np.abs(u).max(axis=-1)
+            if amax is not None and not passed(amax <= guard):
+                sup, bound = (np.ravel(a) for a in np.broadcast_arrays(amax, guard))
+                row = int(np.argmin(sup <= bound))
+                where = f" in row {row}" if u.ndim > 1 else ""
                 raise InstabilityError(
-                    f"sup|u| = {amax:.3e} passed the guard {guard:.3e} at step "
+                    f"sup|u| = {sup[row]:.3e}{where} passed the guard {bound[row]:.3e} at step "
                     f"{n_done + k}, t={t + sum(steps[:k]):.6g}, dt={dt:g}; reduce dt"
                 )
             if h:
@@ -192,6 +207,11 @@ def spectral_second_derivative_matrix(grid: Grid) -> np.ndarray:
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     d2 = row[idx]
     return (2.0 * math.pi / grid.length) ** 2 * d2
+
+
+def _real_matmul(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """z @ m for complex z and real m, without casting m to a complex copy."""
+    return z.real @ m + 1j * (z.imag @ m)
 
 
 class PerturbedPropagator:
@@ -262,6 +282,6 @@ class PerturbedPropagator:
         """
         if self.method == "eigendecomposition":
             energies, modes = self._eigensystem()
-            coeff = u @ modes
-            return ((np.exp(-1j * energies * t) * coeff) @ modes.T for t in times)
+            coeff = _real_matmul(u, modes)
+            return (_real_matmul(np.exp(-1j * energies * t) * coeff, modes.T) for t in times)
         return strang(np.array(u), np.diff(times, prepend=0.0), self.dt, *self._rules)

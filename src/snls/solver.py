@@ -12,9 +12,13 @@ that every snapshot is an exact Strang state (``propagators.strang``).
 
 The step size is fixed (no adaptivity) so a given problem reproduces
 bit-for-bit; requested snapshot times are reached exactly by shrinking the
-final substep of each segment.  A blow-up guard aborts if the sup norm
-grows by 1e6 over its initial value or turns NaN (|u|^alpha overflowed),
-which for this defocusing equation can only mean the step size is too large.
+final substep of each segment.  Problems that share grid, V, dt, record
+times and linear mode run as one (B, N) stack (``solve_stack``), each row
+bit for bit its own solve; ``solve`` is the one-row case.  The blow-up
+guard is per row: it aborts the stack if a row's sup norm grows by 1e6
+over that row's initial value or turns NaN (|u|^alpha overflowed), which
+for this defocusing equation can only mean the step size is too large, and
+the error names the row.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .grid import (
 )
 from .propagators import _frozen_potential, local_phase, multiplier_cache, strang
 
-__all__ = ["NlsProblem", "Trajectory", "solve", "phase_substep"]
+__all__ = ["NlsProblem", "Trajectory", "solve", "solve_stack", "phase_substep"]
 
 BLOWUP_FACTOR = 1e6
 SNAPSHOT_TOL = 1e-9  # a snapshot time matches a requested time this closely
@@ -97,6 +101,16 @@ class NlsProblem:
         times.setflags(write=False)
         object.__setattr__(self, "record_times", times)
 
+    def shares_flow(self, other: "NlsProblem") -> bool:
+        """True when other can be a row of one stacked solve with this problem."""
+        return (
+            self.grid.same_as(other.grid)
+            and self.dt == other.dt
+            and self.linear == other.linear
+            and np.array_equal(self.v, other.v)
+            and np.array_equal(self.record_times, other.record_times)
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -144,21 +158,45 @@ def phase_substep(f: ComplexField, V, alpha: float, dt: float) -> ComplexField:
 
 def solve(problem: NlsProblem) -> Trajectory:
     """Integrate the problem, recording snapshots at the requested times."""
-    grid = problem.grid
+    return solve_stack([problem])[0]
+
+
+def solve_stack(problems: Sequence[NlsProblem]) -> list[Trajectory]:
+    """Integrate problems that share a flow as one (B, N) stack; one Trajectory each.
+
+    Every problem must ``shares_flow`` with the first; alpha and u0 may
+    differ by row.  Each row is bit for bit its own one-problem solve, and
+    a guard that trips in any row raises for the whole stack.
+    """
+    first = problems[0]
+    if not all(first.shares_flow(p) for p in problems[1:]):
+        raise ParameterError("stacked problems must share grid, v, dt, record_times and linear")
+    grid = first.grid
+    u = np.stack([p.u0.values for p in problems])
+    alpha = None if first.linear else np.array([[p.alpha] for p in problems])
+    if len(problems) == 1:
+        # one problem runs as an (N,) row: a (1, N) stack pays for 2-D
+        # broadcasting in every elementwise call of every step
+        u, alpha = u[0], alpha if alpha is None else alpha[0]
+    guard = BLOWUP_FACTOR * np.maximum(np.abs(u).max(axis=-1), 1e-300)
+    kinetic = multiplier_cache(grid.wavenumbers**2, first.dt)
+    phase = local_phase(first.v, alpha, first.dt)
+    states = strang(u, np.diff(first.record_times), first.dt, kinetic, phase, guard)
+    # |u|^alpha overflowing into NaN is the guard's to report, not numpy's
+    with np.errstate(over="ignore", invalid="ignore"):
+        snaps = [[p.u0 for p in problems]] + [
+            [ComplexField(grid, row) for row in state.reshape(len(problems), -1)]
+            for state in states
+        ]
+    return [_trajectory(p, list(fields)) for p, fields in zip(problems, zip(*snaps))]
+
+
+def _trajectory(problem: NlsProblem, snap_fields: list) -> Trajectory:
+    """The snapshots of one solved problem with their diagnostics and warnings."""
     v = problem.v
     alpha = problem.alpha
     linear = problem.linear
-    u = problem.u0.values.copy()
-    guard = BLOWUP_FACTOR * max(float(np.abs(u).max()), 1e-300)
-    record = problem.record_times
-    kinetic = multiplier_cache(grid.wavenumbers**2, problem.dt)
-    phase = local_phase(v, None if linear else alpha, problem.dt)
-    states = strang(u, np.diff(record), problem.dt, kinetic, phase, guard)
-    # |u|^alpha overflowing into NaN is the guard's to report, not numpy's
-    with np.errstate(over="ignore", invalid="ignore"):
-        snap_fields = [problem.u0] + [ComplexField(grid, state) for state in states]
-
-    times = record.copy()
+    times = problem.record_times.copy()
     mass = np.array([l2_norm_sq(f) for f in snap_fields])
     energy = np.array(
         [diagnostics.energy(f, v, alpha, linear=linear) for f in snap_fields]
@@ -181,7 +219,7 @@ def solve(problem: NlsProblem) -> Trajectory:
     if problem.permissive and alpha <= 4:
         notes.append(f"permissive run: alpha={alpha} is outside the supercritical range")
     for note in notes:
-        warnings.warn(note, stacklevel=2)
+        warnings.warn(note, stacklevel=3)
 
     times.setflags(write=False)
     return Trajectory(

@@ -18,6 +18,7 @@ from snls.cli import main
 from snls.config import parse_config_text
 from snls.errors import ConfigError, ParameterError
 from snls.experiments import _write_outputs, emit_plot_data, run
+from snls.solver import solve_stack
 
 examples = settings(max_examples=50)
 
@@ -365,6 +366,33 @@ class TestExperiments:
         ]
         assert "solver.alpha = 4.5" in alphas[0]
 
+    @pytest.mark.parametrize(
+        "parameter, values, sizes",
+        [
+            ("solver.alpha", "4.5, 4.75, 5.0, 5.25, 5.5, 5.75, 6.0, 6.25, 6.5, 6.75", [8, 2]),
+            ("solver.dt", "0.01, 0.01, 0.02, 0.01", [2, 1, 1]),
+        ],
+        ids=["row_cap", "flow_change"],
+    )
+    def test_sweep_stacks_consecutive_points_that_share_a_flow(self, tmp_path, monkeypatch,
+                                                               parameter, values, sizes):
+        import snls.experiments as experiments_mod
+
+        stacks = []
+
+        def recording(problems):
+            stacks.append(len(problems))
+            return solve_stack(problems)
+
+        monkeypatch.setattr(experiments_mod, "solve_stack", recording)
+        cfg = parse_config_text(
+            EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+            + f"sweep.experiment = evolve\nsweep.parameter = {parameter}\nsweep.values = {values}\n"
+        )
+        summary = run(cfg, output_dir=tmp_path / "sweep")
+        assert stacks == sizes
+        assert len(summary["runs"]) == sum(sizes)
+
     def test_sweep_over_strings_rejected_before_runs(self, tmp_path):
         cfg = parse_config_text(
             EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
@@ -588,6 +616,66 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "InstabilityError"
+
+    def test_sweep_overflow_exit_3_and_no_stack_artifacts(self, tmp_path):
+        # both points run as one stack; the second overflows, so the stack
+        # fails as a whole and writes nothing for either of its rows
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = sweep
+            grid.n_points = 256
+            grid.length = 40.0
+            potential.family = flat
+            solver.alpha = 5.0
+            solver.dt = 1e-3
+            solver.t_final = 0.01
+            initial.kind = gaussian
+            sweep.experiment = evolve
+            sweep.parameter = initial.amplitude
+            sweep.values = 0.0565, 1e70
+            """,
+        )
+        src = str(Path(snls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "snls.cli", "sweep", "--config", str(cfg),
+             "--output-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InstabilityError"
+        assert "in row 1" in err["message"]
+        assert not (out / "run_000").exists() and not (out / "run_001").exists()
+
+    def test_channels_pullback_step_must_match_solve_exit_2(self, tmp_path, capsys):
+        # a pullback step other than the solve's turns the wave-operator
+        # gaps into a measure of splitting error
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = channels
+            grid.n_points = 512
+            grid.length = 100.0
+            potential.family = gaussian_matched_step
+            solver.alpha = 5.0
+            solver.dt = 0.0078125
+            propagator.dt = 0.03125
+            channels.wave_times = 2.0, 4.0
+            channels.n_max = 1
+            initial.kind = gaussian
+            initial.amplitude = 0.05
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "propagator.dt" in err["message"]
+        assert not out.exists()
 
     def test_comma_string_value_exit_0(self, tmp_path):
         cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "note = first run, small grid\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,22 @@ class TestPerturbed:
         for t in (0.5, 3.0, 11.0):
             ht = snls.h1v_norm_sq(p.evolve(f, t), v)
             assert abs(ht - h0) / h0 < 1e-8
+
+    def test_eig_projection_allocates_no_complex_modes(self, rng):
+        # u @ modes with complex u and real modes would cast the N x N
+        # matrix to a complex copy, N^2 * 16 bytes
+        n = 512
+        g = snls.Grid(n, 40.0)
+        p = snls.PerturbedPropagator(g, np.zeros(n), method="eigendecomposition")
+        p._eigensystem()
+        u = random_field(g, rng).values
+        tracemalloc.start()
+        try:
+            next(p._flow(u, np.array([0.5])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 2
 
     def test_h1v_near_conserved_by_strang(self, barrier):
         g, v = barrier

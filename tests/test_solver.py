@@ -6,6 +6,7 @@ import pytest
 import snls
 import snls.solver as solver_mod
 from snls.errors import GridMismatchError, InstabilityError, ParameterError
+from snls.solver import solve_stack
 
 from conftest import l2_dist
 
@@ -210,3 +211,27 @@ class TestGuardsAndWarnings:
             warnings.simplefilter("error")
             traj = snls.solve(make_problem(g, v, u0, t_final=0.5))
         assert traj.warnings == ()
+
+
+class TestStackedSolve:
+    def test_guard_names_the_one_row_that_overflows(self):
+        # only the middle row's |u|^alpha overflows; the error names it
+        g = snls.Grid(256, 40.0)
+        problems = [
+            snls.NlsProblem(grid=g, v=np.zeros(256), alpha=5.0, dt=1e-3, t_final=0.01,
+                            u0=snls.gaussian_packet(g, amplitude=a))
+            for a in (0.5, 1e70, 0.5)
+        ]
+        with pytest.raises(InstabilityError, match=r"nan in row 1 passed the guard"):
+            solve_stack(problems)
+        # each other row alone runs clean
+        for p in problems[::2]:
+            assert np.isfinite(snls.solve(p).final_field.values).all()
+
+    def test_rows_must_share_the_flow(self, setup):
+        g, v = setup
+        u0 = snls.gaussian_packet(g)
+        with pytest.raises(ParameterError, match="share"):
+            solve_stack([make_problem(g, v, u0), make_problem(g, v, u0, dt=2e-3)])
+        with pytest.raises(ParameterError, match="share"):
+            solve_stack([make_problem(g, v, u0), make_problem(g, 0.5 * v, u0)])

@@ -12,7 +12,12 @@ times in one sweep; it must reproduce chained ``evolve`` calls bit for bit
 on the splitting path and to roundoff on the eigendecomposition path.  The
 same flow run on a (B, N) stack of rows must reproduce each row's own
 sweep, and so must the profile search that runs its ensemble as one stack.
+The nonlinear kernel on a stack with one power per row must reproduce each
+row's own run bit for bit, and so must an ``evolve`` sweep run in stacks.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snls
+from snls.cli import main
 from snls.errors import GridMismatchError, ParameterError
 from snls.propagators import local_phase, multiplier_cache, strang, substep_sizes
 from snls.scattering import _lowpass, _median_field
@@ -290,3 +296,52 @@ def test_profile_search_is_per_member_search_on_eigendecomposition():
         for n in range(len(residue)):
             placed = snls.translate(pr.psi, x_shifts[n])
             residue[n] = residue[n] - p.evolve(placed, -t_shifts[n]).values
+
+
+@examples
+@given(grids, heights, st.floats(2e-3, 2e-2), gaps, st.lists(st.floats(4.5, 7.0), min_size=1,
+       max_size=6), st.integers(0, 2**32 - 1))
+def test_stacked_nonlinear_strang_is_per_row_strang(n_exp, height, dt, gaps, alphas, seed):
+    grid, v, _ = setting(n_exp, height, 1.0, 0.0)
+    rows = packets(grid, seed, len(alphas))
+    kinetic = multiplier_cache(grid.wavenumbers**2, dt)
+    guard = 1e6 * np.abs(rows).max(axis=-1)
+    phase = local_phase(v, np.array(alphas)[:, None], dt)
+    stacked = [u.copy() for u in strang(rows.copy(), gaps, dt, kinetic, phase, guard)]
+    assert len(stacked) == len(gaps)
+    for n, alpha in enumerate(alphas):
+        alone = strang(rows[n].copy(), gaps, dt, kinetic, local_phase(v, alpha, dt), guard[n])
+        for u, row in zip(stacked, alone):
+            assert np.array_equal(u[n], row)
+
+
+SWEEP_BASE = """
+grid.n_points = 64
+grid.length = 30.0
+potential.family = gaussian_matched_step
+solver.dt = 0.01
+solver.t_final = 0.3
+solver.record_stride = 0.1
+initial.kind = gaussian
+initial.amplitude = 0.8
+"""
+
+
+@settings(max_examples=10)
+@given(st.lists(st.floats(4.5, 7.0), min_size=1, max_size=10))
+def test_sweep_runs_are_standalone_evolve_runs(alphas):
+    # more points than one stack holds, so the sweep crosses the row cap
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        values = ", ".join(repr(a) for a in alphas) + ("," if len(alphas) == 1 else "")
+        sweep_cfg = tmp / "sweep.cfg"
+        sweep_cfg.write_text("experiment = sweep\n" + SWEEP_BASE + "sweep.experiment = evolve\n"
+                             "sweep.parameter = solver.alpha\n" f"sweep.values = {values}\n")
+        assert main(["sweep", "--config", str(sweep_cfg), "--output-dir", str(tmp / "sw")]) == 0
+        for i, alpha in enumerate(alphas):
+            cfg = tmp / f"evolve_{i}.cfg"
+            cfg.write_text("experiment = evolve\n" + SWEEP_BASE + f"solver.alpha = {alpha!r}\n")
+            out = tmp / f"ev_{i}"
+            assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 0
+            for name in ("summary.json", "series.csv"):
+                assert (tmp / "sw" / f"run_{i:03d}" / name).read_bytes() == (out / name).read_bytes()
