@@ -206,6 +206,8 @@ class RunConfig:
                 text = ", ".join(f"{v:.17g}" for v in val) + ("," if len(val) == 1 else "")
             elif isinstance(val, float):
                 text = f"{val:.17g}"
+                if text.lstrip("-").isdigit():
+                    text += ".0"  # an integral float must re-parse as a float
             else:
                 text = str(val)
             lines.append(f"{key} = {text}")

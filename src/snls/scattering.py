@@ -21,9 +21,10 @@ extractions and the reconstruction defect measure convergence.
 The profile decomposition follows the constructive recipe of the
 concentration-compactness argument on a finite ensemble {v_n}: per slot,
 (i) for each n pick the time t_n maximizing |exp(it(dxx-V)) v_n|_Lq over a
-sampled window (the recipe only asks for at least half the sup; the window
-maximum meets that by construction, and times outside the window are not
-searched),
+sampled window, walked outward from t = 0 (forward to +T, then backward to
+-T; ties go to the earliest time), so that t = 0 samples the data itself
+(the recipe only asks for at least half the sup; the window maximum meets
+that by construction, and times outside the window are not searched),
 (ii) recenter at the peak of the low-pass-filtered modulus (cutoff radius
 R = lambda^(-beta) with beta = 1 - 2/q, the embedding exponent at d = 1),
 (iii) form the profile as a robust ensemble average of the recentred
@@ -80,6 +81,7 @@ __all__ = [
 SAMPLE_DT = 0.1  # time spacing of the translation-gap samples
 STOP_RATIO = 1e-3  # profile norm, relative to the largest member, that ends the search
 COHERENCE_THRESHOLD = 0.5  # least split-half correlation of an accepted profile
+BOUND_MARGIN = 1e-6  # relative room for roundoff in the candidate norm bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +342,10 @@ def greedy_profile_decomposition(
     Stops as soon as a candidate profile has L2 norm below
     ``STOP_RATIO * max_n |v_n|_L2`` or split-half coherence below
     COHERENCE_THRESHOLD; a rejected first candidate reports concentration
-    level 0.
+    level 0.  The candidate is a pointwise median of unitary images of the
+    residues, so its squared norm is at most the residues' summed squared
+    norms; when the root of that sum (widened by BOUND_MARGIN for roundoff)
+    is already below the stop level, the search stops without sweeping.
     """
     if len(fields) < 3:
         raise InsufficientDataError("need an ensemble of at least 3 fields")
@@ -355,25 +360,32 @@ def greedy_profile_decomposition(
 
     k_ens = len(fields)
     residue = np.stack([f.values for f in fields])
-    stop_scale = max(l2_norm_sq(f) ** 0.5 for f in fields)
+    stop_level = STOP_RATIO * max(l2_norm_sq(f) ** 0.5 for f in fields)
     beta = 1.0 - 2.0 / q_exponent  # embedding exponent at d = 1
 
+    # two legs outward from t = 0; ties go to the earlier time
     n_t = int(round(t_window / t_step))
-    search_times = t_step * np.arange(-n_t, n_t + 1)
+    legs = (
+        (t_step * np.arange(n_t + 1), np.greater),
+        (-t_step * np.arange(1, n_t + 1), np.greater_equal),
+    )
 
     profiles = []
     concentration_level = 0.0
 
     for _ in range(j_max):
+        if np.linalg.norm(residue) * grid.dx**0.5 * (1.0 + BOUND_MARGIN) < stop_level:
+            break  # no candidate can reach the stop level
         # sweep the window of every member at once, keeping per member the
-        # first state of largest Lq norm
+        # earliest state of largest Lq norm
         best_q = np.full(k_ens, -1.0)
         t_shifts = np.empty(k_ens)
         best = np.empty_like(residue)
-        for t, states in zip(search_times, p._flow(residue, search_times)):
-            qn = _lp_rows(states, q_exponent, grid.dx)
-            better = qn > best_q
-            best_q[better], t_shifts[better], best[better] = qn[better], t, states[better]
+        for times, beats in legs:
+            for t, states in zip(times, p._flow(residue, times)):
+                qn = _lp_rows(states, q_exponent, grid.dx)
+                better = beats(qn, best_q)
+                best_q[better], t_shifts[better], best[better] = qn[better], t, states[better]
 
         # localization radius from the current concentration estimate
         first_pass = _median_field(best)
@@ -390,7 +402,7 @@ def greedy_profile_decomposition(
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
         coherence = _split_half_coherence(recentred, grid)
-        if cand_norm < STOP_RATIO * stop_scale or coherence < COHERENCE_THRESHOLD:
+        if cand_norm < stop_level or coherence < COHERENCE_THRESHOLD:
             break
         if not profiles:
             concentration_level = cand_norm

@@ -122,6 +122,16 @@ class TestConfigParsing:
         cfg = parse_config_text("b = 2\na = 0.1\nc = true\n")
         assert cfg.render() == "a = 0.10000000000000001\nb = 2\nc = true\n"
 
+    def test_render_keeps_integral_floats_floats(self):
+        cfg = parse_config_text("n = 256.0\nm = 256\nneg = -3.0\nbig = 1e16\nx = 0.5\n")
+        text = cfg.render()
+        assert text == "big = 10000000000000000.0\nm = 256\nn = 256.0\nneg = -3.0\nx = 0.5\n"
+        again = parse_config_text(text)
+        assert again.get_int("m") == 256
+        for key in ("n", "neg", "big"):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                again.get_int(key)
+
     def test_comma_values(self):
         cfg = parse_config_text(
             "note = first run, small grid\nmixed = 1.0, two\none = 1.5,\nsep = ,\n"
@@ -160,6 +170,9 @@ class TestConfigParsing:
         text = cfg.render()
         again = parse_config_text(text)
         assert again.entries == cfg.entries
+        assert {k: type(v) for k, v in again.entries.items()} == {
+            k: type(v) for k, v in cfg.entries.items()
+        }
         assert again.render() == text
 
 

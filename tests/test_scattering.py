@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import snls
+from snls import scattering
 from snls.errors import DomainError, InsufficientDataError, ParameterError
 from snls.grid import translate
+from snls.scattering import _median_field
 
 from conftest import l2_dist
 
@@ -195,8 +199,8 @@ class TestProfileDecomposition:
         assert np.allclose(pr.x_shifts, shifts)
         assert res.concentration_level == pytest.approx(snls.l2_norm_sq(base) ** 0.5, rel=1e-6)
 
-    def test_two_profiles_recovered(self, free_prop):
-        g, p = free_prop
+    @staticmethod
+    def two_bump_family(g):
         bump1 = snls.gaussian_packet(g)
         bump2 = snls.gaussian_packet(g, amplitude=0.8, width=1.5)
         family = []
@@ -205,6 +209,11 @@ class TestProfileDecomposition:
             family.append(
                 snls.ComplexField(g, translate(bump1, a_n).values + translate(bump2, -a_n).values)
             )
+        return bump1, bump2, family
+
+    def test_two_profiles_recovered(self, free_prop):
+        g, p = free_prop
+        bump1, bump2, family = self.two_bump_family(g)
         res = snls.greedy_profile_decomposition(family, p, j_max=4, q_exponent=7.0,
                                                 t_window=5.0)
         assert len(res.profiles) == 2
@@ -214,6 +223,66 @@ class TestProfileDecomposition:
         assert errs[-1] < 1e-2
         rel_mass_defect = abs(res.pythagorean_defects["mass"]) / snls.l2_norm_sq(family[-1])
         assert rel_mass_defect < 1e-2
+
+    def test_pass_whose_candidate_must_fail_is_not_swept(self, free_prop, monkeypatch):
+        g, p = free_prop
+        _, _, family = self.two_bump_family(g)
+        flow = p._flow
+        sweeps = []
+
+        def counted(u, times):
+            if u.ndim == 2:  # the window sweep; placing a profile flows one row
+                sweeps.append((times[0], times[-1]))
+            return flow(u, times)
+
+        monkeypatch.setattr(p, "_flow", counted)
+        res = snls.greedy_profile_decomposition(family, p, j_max=4, q_exponent=7.0,
+                                                t_window=5.0)
+        # two passes, each walking 0 -> +5 and then -0.1 -> -5
+        assert sweeps == [(0.0, 5.0), (-0.1, -5.0)] * 2
+
+        # with an infinite margin the exit never fires: a third pass sweeps and fails
+        sweeps.clear()
+        monkeypatch.setattr(scattering, "BOUND_MARGIN", np.inf)
+        full = snls.greedy_profile_decomposition(family, p, j_max=4, q_exponent=7.0,
+                                                 t_window=5.0)
+        assert len(sweeps) == 6
+        assert len(res.profiles) == len(full.profiles) == 2
+        for a, b in zip(res.profiles, full.profiles):
+            assert np.array_equal(a.psi.values, b.psi.values)
+            assert np.array_equal(a.t_shifts, b.t_shifts)
+            assert np.array_equal(a.x_shifts, b.x_shifts)
+        assert np.array_equal(res.remainder.values, full.remainder.values)
+        assert res.concentration_level == full.concentration_level
+        assert res.pythagorean_defects == full.pythagorean_defects
+
+    def test_times_before_zero_are_found(self):
+        g = snls.Grid(256, 40.0)
+        p = snls.PerturbedPropagator(g, np.zeros(g.n_points), method="eigendecomposition")
+        bump = snls.gaussian_packet(g)
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        shifts = g.dx * np.array([-40, -24, -8, 8, 24, 40])
+        # member n is the bump moved by shifts[n] and run for 1.5 * signs[n],
+        # so it refocuses at t = -1.5 * signs[n]
+        family = [p.evolve(translate(bump, a), 1.5 * s) for a, s in zip(shifts, signs)]
+        res = snls.greedy_profile_decomposition(family, p, j_max=2, q_exponent=7.0,
+                                                t_window=3.0, t_step=0.25)
+        assert len(res.profiles) == 1
+        pr = res.profiles[0]
+        assert np.array_equal(pr.t_shifts, -1.5 * signs)
+        assert np.allclose(pr.x_shifts, shifts)
+        assert l2_dist(pr.psi, bump) < 1e-6
+
+    def test_ties_go_to_the_earliest_time(self, free_prop):
+        g, p = free_prop
+        bump = snls.gaussian_packet(g)
+        zero = snls.ComplexField(g, np.zeros(g.n_points, dtype=complex))
+        b = [translate(bump, g.dx * k) for k in (-80, -40, 40, 80)]
+        family = [b[0], zero, b[1], b[2], zero, b[3]]  # each half holds one zero
+        res = snls.greedy_profile_decomposition(family, p, j_max=1, q_exponent=7.0,
+                                                t_window=1.0)
+        # a zero member has the same Lq norm at every time: it keeps t = -T
+        assert np.array_equal(res.profiles[0].t_shifts, [0.0, -1.0, 0.0, 0.0, -1.0, 0.0])
 
     def test_noise_yields_no_profiles(self, free_prop):
         g, p = free_prop
@@ -242,3 +311,18 @@ class TestProfileDecomposition:
         other = snls.gaussian_packet(snls.Grid(512, 200.0))
         with pytest.raises(ParameterError):
             snls.greedy_profile_decomposition([base, base, other], p, 1, 7.0)
+
+
+@given(
+    st.integers(3, 8),
+    st.integers(1, 64),
+    st.floats(1e-6, 1e6),
+    st.integers(0, 2**32 - 1),
+)
+def test_median_field_norm_is_at_most_root_sum_square(k, n, scale, seed):
+    """|median_n row_n|^2 <= sum_n |row_n|^2, the bound behind the early stop."""
+    rng = np.random.default_rng(seed)
+    stack = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    median = _median_field(stack)
+    # pointwise the bound is exact; the two sums only differ in rounding order
+    assert np.sum(np.abs(median) ** 2) <= np.sum(np.abs(stack) ** 2) * (1.0 + 1e-12)
