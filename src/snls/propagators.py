@@ -157,14 +157,18 @@ def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard=math.inf):
     and the opening one of h_{k+1} merge into one phase of (h_k + h_{k+1})/2:
     a span takes one phase at each joint between its substeps, a half phase
     at either end, and fft, x kinetic(h), ifft for each substep h, so every
-    yield is an exact Strang state.  The guard, a number or one per row,
-    reads ``not (sup|u| <= guard)`` row by row so that NaN trips it too,
+    yield is an exact Strang state.  The inverse transform's 1/N is folded
+    into the kinetic multiplier; ``Grid`` makes N a power of two, so the
+    scaling is exact.  The guard, a number or one per row, reads
+    ``not (sup|u| <= guard)`` row by row so that NaN trips it too,
     and the error names the first row that tripped.  A phase reports sup|u|
     of its input, so a finite guard reads sup|u| after the closing half
     phase of a span instead: no later phase would see a NaN made there by
     |u|^alpha overflowing.
     """
     buf, t, n_done = np.empty_like(u), 0.0, 0
+    n_points = u.shape[-1]
+    scaled_kinetic = functools.cache(lambda h: kinetic(h) / n_points)
     close_check = np.min(guard) < math.inf
     # a single row compares scalars: ndarray.all on a numpy bool costs more
     # than the comparison itself, on every step
@@ -185,8 +189,8 @@ def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard=math.inf):
                     f"{n_done + k}, t={t + sum(steps[:k]):.6g}, dt={dt:g}; reduce dt"
                 )
             if h:
-                np.multiply(np.fft.fft(u, out=buf), kinetic(h), out=buf)
-                np.fft.ifft(buf, out=u)
+                np.multiply(np.fft.fft(u, out=buf), scaled_kinetic(h), out=buf)
+                np.fft.ifft(buf, out=u, norm="forward")
         t, n_done = t + span, n_done + len(steps)
         yield u
 
