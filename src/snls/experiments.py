@@ -332,7 +332,7 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     traj = solve(problem)
     prop = _build_propagator(cfg, grid, v)
 
-    states = [scattering.nonlinear_wave_state(traj, prop, T) for T in wave_times]
+    states = scattering._wave_states(traj, prop, wave_times)
     gaps = [
         h1_norm_sq(ComplexField(grid, states[i + 1].values - states[i].values)) ** 0.5
         for i in range(len(states) - 1)
@@ -541,18 +541,21 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
+_RUNNERS = {
+    "check_potential": _run_check_potential,
+    "evolve": _run_evolve,
+    "decay": _run_decay,
+    "linear_channels": _run_linear_channels,
+    "channels": _run_channels,
+    "morawetz": _run_morawetz,
+    "translation_gap": _run_translation_gap,
+    "profiles": _run_profiles,
+    "sweep": _run_sweep,
+}
+
+
 def _dispatch(cfg: RunConfig, outdir: Path) -> dict:
-    return {
-        "check_potential": _run_check_potential,
-        "evolve": _run_evolve,
-        "decay": _run_decay,
-        "linear_channels": _run_linear_channels,
-        "channels": _run_channels,
-        "morawetz": _run_morawetz,
-        "translation_gap": _run_translation_gap,
-        "profiles": _run_profiles,
-        "sweep": _run_sweep,
-    }[cfg.experiment()](cfg, outdir)
+    return _RUNNERS[cfg.experiment()](cfg, outdir)
 
 
 def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:

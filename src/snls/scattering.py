@@ -226,6 +226,37 @@ def nonlinear_wave_state(
     return p.evolve(u_T, -T)
 
 
+def _wave_states(traj: Trajectory, p: PerturbedPropagator, times) -> list[ComplexField]:
+    """``nonlinear_wave_state`` at each recorded time, in the order given.
+
+    One backward sweep of a stack that sheds rows: the snapshots u(T) are
+    stacked longest T first, and each leg between consecutive sorted times
+    runs the rows still pulling back and then drops the last one, which has
+    reached t = 0.  At T = 10, 20, 40, three rows run 10 units, two run 10
+    more and one the last 20.  The shortest-T row runs one leg, bit for bit
+    its one-row pullback.  A row that crosses a leg boundary takes two half
+    phases there in place of one merged phase: with the times on the step
+    lattice that is a roundoff-level change; off it, each leg ends on its
+    own shrunken substep, as the solve's segments between the same times do.
+    """
+    times = [float(T) for T in times]
+    order = sorted(range(len(times)), key=times.__getitem__)
+    snapshots = []
+    for k in reversed(order):
+        idx = traj.snapshot_index(times[k])
+        if idx is None:
+            raise InsufficientDataError(f"no snapshot at T={times[k]}")
+        snapshots.append(traj.fields[idx].values)
+    u = np.stack(snapshots)
+    states, t_done = [None] * len(times), 0.0
+    for rows, k in zip(range(len(order), 0, -1), order):
+        # the last row runs as (N,): a (1, N) stack pays for 2-D broadcasting
+        u = next(p._flow(u[:rows] if rows > 1 else u[0], np.array([t_done - times[k]])))
+        states[k] = ComplexField(traj.problem.grid, u.reshape(rows, -1)[-1])
+        t_done = times[k]
+    return states
+
+
 def extract_nonlinear_channels(
     traj: Trajectory,
     p: PerturbedPropagator,

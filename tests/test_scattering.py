@@ -138,6 +138,34 @@ class TestWaveOperator:
         with pytest.raises(InsufficientDataError):
             snls.nonlinear_wave_state(traj, p, 5.0, allow_interpolation=True)
 
+    @pytest.mark.parametrize("times", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [1.5, 0.25, 0.75], [1.0]])
+    def test_shedding_pullback_is_the_one_row_pullbacks(self, channel_grid, times):
+        v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
+        u0 = snls.gaussian_packet(channel_grid, amplitude=0.8)
+        traj = snls.solve(snls.NlsProblem(grid=channel_grid, v=v, alpha=5.0, u0=u0, dt=2.0**-7,
+                                          t_final=max(times), record_times=sorted(times)))
+        p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
+        shed = scattering._wave_states(traj, p, times)
+        alone = [snls.nonlinear_wave_state(traj, p, T) for T in times]
+        assert len(shed) == len(times)
+        first = int(np.argmin(times))
+        assert np.array_equal(shed[first].values, alone[first].values)
+        for a, b in zip(shed, alone):
+            assert l2_dist(a, b) <= 1e-14 * snls.l2_norm_sq(b) ** 0.5
+        # the states differ far beyond that tolerance, so a row shed at the
+        # wrong time or returned in the wrong order cannot pass
+        for i, a in enumerate(alone):
+            for b in alone[i + 1:]:
+                assert l2_dist(a, b) > 1e-6 * snls.l2_norm_sq(b) ** 0.5
+
+    def test_shedding_pullback_needs_snapshots(self, channel_grid):
+        v = np.zeros(channel_grid.n_points)
+        u0 = snls.gaussian_packet(channel_grid, amplitude=0.05)
+        traj = self._solve(channel_grid, v, u0, 2.0)
+        p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
+        with pytest.raises(InsufficientDataError):
+            scattering._wave_states(traj, p, [2.0, 1.7])
+
     def test_nonlinear_extraction_collapses_on_linear_run(self, channel_grid):
         v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
         u0 = snls.gaussian_packet(channel_grid)

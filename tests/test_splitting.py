@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import snls
 from snls.cli import main
 from snls.errors import GridMismatchError, ParameterError
-from snls.propagators import local_phase, multiplier_cache, strang, substep_sizes
+from snls.propagators import SMALL_ROTATION, local_phase, multiplier_cache, strang, substep_sizes
 from snls.scattering import _lowpass, _median_field
 
 examples = settings(max_examples=30)
@@ -157,6 +157,60 @@ def test_phase_substep_keeps_modulus(seed, alpha, dt, scale):
     v = rng.uniform(-2.0, 2.0, 64)
     out = snls.phase_substep(snls.ComplexField(grid, vals), v, alpha, dt)
     np.testing.assert_allclose(np.abs(out.values), np.abs(vals), rtol=1e-14, atol=0)
+
+
+def cos_sin_phase(u: np.ndarray, v: np.ndarray, alpha, tau: float) -> np.ndarray:
+    """u * exp(-i*tau*(V + |u|^alpha)) as cos + i*sin of the whole angle, as the rule had it."""
+    d = u.real * u.real + u.imag * u.imag
+    angle = (np.power(d, 0.5 * alpha) + v) * -tau
+    ph = np.empty_like(u)
+    ph.real, ph.imag = np.cos(angle), np.sin(angle)
+    return u * ph
+
+
+def rotation_field(seed, n, alpha, tau, theta):
+    """A random (n,) field whose sup|u| makes |tau| * sup|u|^alpha equal theta."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return u * (theta / abs(tau)) ** (1.0 / alpha) / np.abs(u).max()
+
+
+rotation_alphas = st.one_of(st.just(5.0), st.floats(4.5, 7.0))
+taus = st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]), st.floats(1e-4, 0.1))
+
+
+@examples
+@given(st.integers(0, 2**32 - 1), rotation_alphas, taus,
+       st.floats(-12.0, -4.0))
+def test_small_rotation_phase_is_the_cos_sin_phase(seed, alpha, tau, log_theta):
+    # amplitudes on both sides of the bound; below it the rule skips cos/sin
+    theta = 10.0**log_theta
+    u = rotation_field(seed, 64, alpha, tau, theta)
+    v = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, 64)
+    ref = cos_sin_phase(u, v, alpha, tau)
+    out = u.copy()
+    amax = local_phase(v, alpha, 0.01)(out, tau)
+    if abs(tau) * amax**alpha > SMALL_ROTATION * (1.0 + 1e-12):
+        assert np.array_equal(out, ref)
+    np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.abs(out), np.abs(u), rtol=1e-15, atol=0)
+
+
+@examples
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(rotation_alphas, st.floats(-12.0, -4.0)),
+       min_size=1, max_size=6), taus)
+def test_stacked_small_rotation_phase_is_per_row_phase(seed, rows, tau):
+    # rows on either side of the bound, quintic or not, each take their own form
+    v = np.random.default_rng(seed).uniform(-2.0, 2.0, 64)
+    alphas = np.array([[alpha] for alpha, _ in rows])
+    stack = np.stack([rotation_field(seed + k, 64, alpha, tau, 10.0**log_theta)
+                      for k, (alpha, log_theta) in enumerate(rows)])
+    out = stack.copy()
+    amax = local_phase(v, alphas, 0.01)(out, tau)
+    for k, (alpha, _) in enumerate(rows):
+        alone = stack[k].copy()
+        assert amax[k] == local_phase(v, alpha, 0.01)(alone, tau)
+        assert np.array_equal(out[k], alone)
 
 
 
