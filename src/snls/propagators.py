@@ -143,6 +143,7 @@ def local_phase(v: np.ndarray, alpha, dt: float):
         return phase
     shape = np.broadcast_shapes(v.shape, np.shape(alpha))
     d, tmp = np.empty(shape), np.empty(shape)
+    # rot holds 1 + i*theta_x below the bound: only its imaginary part is written
     ph, rot = np.empty(shape, dtype=np.complex128), np.ones(shape, dtype=np.complex128)
     half_alpha = 0.5 * alpha
     # per row: the form it takes below the bound, and for each tau the
