@@ -40,7 +40,7 @@ Recognized keys (see README for the per-experiment required sets):
     propagator.dt             splitting substep (channels: equal to solver.dt)
     decay.times               probe times (list), or decay.t_min/t_max/num
     channels.n_max            subsequence depth
-    channels.wave_times       wave-operator pullback times (list)
+    channels.wave_times       wave-operator pullback times (list, multiples of solver.dt)
     morawetz.t_min            identity evaluation start (default 1.0)
     translation.shifts        bump shifts (list)
     translation.t_span        two floats

@@ -25,7 +25,7 @@ from .potentials import (
     check_hypotheses,
     load_samples_csv,
 )
-from .propagators import PerturbedPropagator, evolve_free, evolve_shifted
+from .propagators import PerturbedPropagator, evolve_free, evolve_shifted, substep_sizes
 from .solver import NlsProblem, solve, solve_stack
 
 __all__ = ["run", "emit_plot_data"]
@@ -329,6 +329,10 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     cfg = cfg.with_override("solver.t_final", wave_times[-1])
     cfg = cfg.with_override("solver.record_times", wave_times)
     problem = _build_problem(cfg, grid, v, u0)
+    # off the step lattice a pullback leg ends on a shrunken substep that
+    # the other rows do not take, and the gaps would hold splitting error
+    if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
+        raise ConfigError("channels: channels.wave_times must be multiples of solver.dt")
     traj = solve(problem)
     prop = _build_propagator(cfg, grid, v)
 

@@ -47,14 +47,13 @@ __all__ = [
 
 EIG_SIZE_CAP = 1024
 MAX_SPLITTING_DT = 0.1
-# Largest nonlinear rotation theta = |tau| * sup|u|^alpha that the local
+# Largest quintic rotation theta = |tau| * sup|u|^5 that the local
 # phase writes as 1 + i*theta instead of cos(theta) + i*sin(theta).  Below
 # 2**-26.5 ~ 1.05e-8, theta^2/2 is under half an ulp of 1 and theta^3/6
 # under half an ulp of theta, so cos(theta) rounds to 1 and sin(theta) to
 # theta: the factor is the correctly rounded exp(-i*theta), and the only
-# change is that exp(-i*tau*(V + |u|^alpha)) is applied as two factors.
+# change is that exp(-i*tau*(V + |u|^5)) is applied as two factors.
 SMALL_ROTATION = 1e-8
-_SMALL, _QUINTIC = 1, 2  # the two forms of the local phase below SMALL_ROTATION
 
 
 def _check_time(t: float):
@@ -128,11 +127,11 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     shape.  alpha=None: the linear exp(-i*tau*V), which reads no sup and
     returns None.
 
-    A row whose rotation theta = |tau| * sup|u|^alpha is at most
+    A quintic row whose rotation theta = |tau| * sup|u|^5 is at most
     SMALL_ROTATION is multiplied by the cached exp(-i*tau*V) and then by
-    1 + i*theta_x, theta_x = -tau*|u|^alpha, with no cos or sin; at alpha = 5
-    its |u|^5 is d*d*sqrt(d).  Each row takes its own form, so a row of a
-    stack is still bit for bit its own (N,) run.
+    1 + i*theta_x, theta_x = -tau*|u|^5 with |u|^5 = d*d*sqrt(d), with no
+    cos or sin.  A stack with such a row runs row by row, so each row is
+    still bit for bit its own (N,) run.
     """
     mult = multiplier_cache(v, dt)
     if alpha is None:
@@ -146,33 +145,32 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     # rot holds 1 + i*theta_x below the bound: only its imaginary part is written
     ph, rot = np.empty(shape, dtype=np.complex128), np.ones(shape, dtype=np.complex128)
     half_alpha = 0.5 * alpha
-    # per row: the form it takes below the bound, and for each tau the
-    # largest sup|u|^2 whose rotation |tau| * sup|u|^alpha is within it
-    row_half_alpha = np.reshape(half_alpha, shape[:-1])
-    small_form = np.where(row_half_alpha == 2.5, _QUINTIC, _SMALL)
-    small_bound = functools.cache(
-        lambda tau: np.power(SMALL_ROTATION / abs(tau), 1.0 / row_half_alpha) if tau else math.inf
-    )
+    # per row and tau, the largest sup|u|^2 whose rotation |tau| * sup|u|^5
+    # is within SMALL_ROTATION; -1 for a row that is not quintic
+    quintic = np.reshape(half_alpha, shape[:-1]) == 2.5
 
-    def turn(u, d, tmp, ph, rot, half_alpha, tau, form):
-        """u *= exp(-i*tau*(V + d**half_alpha)) for rows that all take one form."""
-        if not form:
-            np.power(d, half_alpha, out=d)
-            np.add(d, v, out=d)
-            np.multiply(d, -tau, out=d)
-            np.cos(d, out=ph.real)
-            np.sin(d, out=ph.imag)
-            u *= ph
-            return
-        if form == _QUINTIC:
+    def bound(tau):
+        b = np.where(quintic, (SMALL_ROTATION / abs(tau)) ** 0.4 if tau else math.inf, -1.0)
+        return b if b.ndim else float(b)
+
+    small_bound = functools.cache(bound)
+
+    def turn(u, d, tmp, ph, rot, half_alpha, tau, small):
+        """u *= exp(-i*tau*(V + d**half_alpha)), by 1 + i*theta_x if small."""
+        if small:
             np.sqrt(d, out=tmp)
             np.multiply(d, d, out=d)
             np.multiply(d, tmp, out=d)
-        else:
-            np.power(d, half_alpha, out=d)
-        np.multiply(d, -tau, out=rot.imag)
-        u *= mult(tau)
-        u *= rot
+            np.multiply(d, -tau, out=rot.imag)
+            u *= mult(tau)
+            u *= rot
+            return
+        np.power(d, half_alpha, out=d)
+        np.add(d, v, out=d)
+        np.multiply(d, -tau, out=d)
+        np.cos(d, out=ph.real)
+        np.sin(d, out=ph.imag)
+        u *= ph
 
     def phase(u, tau):
         np.multiply(u.real, u.real, out=d)
@@ -181,16 +179,12 @@ def local_phase(v: np.ndarray, alpha, dt: float):
         dmax = d.max(axis=-1)
         small = dmax <= small_bound(tau)
         if u.ndim == 1:
-            turn(u, d, tmp, ph, rot, half_alpha, tau, small_form if small else 0)
+            turn(u, d, tmp, ph, rot, half_alpha, tau, small)
         elif not small.any():
-            turn(u, d, tmp, ph, rot, half_alpha, tau, 0)
+            turn(u, d, tmp, ph, rot, half_alpha, tau, False)
         else:
-            form = small * small_form
-            if (form == form[0]).all():
-                turn(u, d, tmp, ph, rot, half_alpha, tau, form[0])
-            else:
-                for row in zip(u, d, tmp, ph, rot, half_alpha, itertools.repeat(tau), form):
-                    turn(*row)
+            for row in zip(u, d, tmp, ph, rot, half_alpha, itertools.repeat(tau), small):
+                turn(*row)
         return np.sqrt(dmax)
 
     return phase

@@ -236,8 +236,9 @@ def _wave_states(traj: Trajectory, p: PerturbedPropagator, times) -> list[Comple
     more and one the last 20.  The shortest-T row runs one leg, bit for bit
     its one-row pullback.  A row that crosses a leg boundary takes two half
     phases there in place of one merged phase: with the times on the step
-    lattice that is a roundoff-level change; off it, each leg ends on its
-    own shrunken substep, as the solve's segments between the same times do.
+    lattice, as ``channels`` requires, that is a roundoff-level change; off
+    it, each leg ends on its own shrunken substep and the rows move at
+    splitting-error level.
     """
     times = [float(T) for T in times]
     order = sorted(range(len(times)), key=times.__getitem__)

@@ -690,6 +690,32 @@ class TestCli:
         assert "propagator.dt" in err["message"]
         assert not out.exists()
 
+    def test_channels_wave_times_off_the_step_lattice_exit_2(self, tmp_path, capsys):
+        # a pullback leg that ends off the step lattice takes a shrunken
+        # substep, and the gaps would again hold splitting error
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = channels
+            grid.n_points = 512
+            grid.length = 100.0
+            potential.family = gaussian_matched_step
+            solver.alpha = 5.0
+            solver.dt = 0.0078125
+            propagator.dt = 0.0078125
+            channels.wave_times = 2.0, 3.3
+            channels.n_max = 1
+            initial.kind = gaussian
+            initial.amplitude = 0.05
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "wave_times" in err["message"]
+        assert not out.exists()
+
     def test_comma_string_value_exit_0(self, tmp_path):
         cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "note = first run, small grid\n")
         out = tmp_path / "o"

@@ -183,14 +183,14 @@ taus = st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]), st.
 @given(st.integers(0, 2**32 - 1), rotation_alphas, taus,
        st.floats(-12.0, -4.0))
 def test_small_rotation_phase_is_the_cos_sin_phase(seed, alpha, tau, log_theta):
-    # amplitudes on both sides of the bound; below it the rule skips cos/sin
+    # amplitudes on both sides of the bound; below it a quintic rule skips cos/sin
     theta = 10.0**log_theta
     u = rotation_field(seed, 64, alpha, tau, theta)
     v = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, 64)
     ref = cos_sin_phase(u, v, alpha, tau)
     out = u.copy()
     amax = local_phase(v, alpha, 0.01)(out, tau)
-    if abs(tau) * amax**alpha > SMALL_ROTATION * (1.0 + 1e-12):
+    if alpha != 5.0 or abs(tau) * amax**alpha > SMALL_ROTATION * (1.0 + 1e-12):
         assert np.array_equal(out, ref)
     np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
     np.testing.assert_allclose(np.abs(out), np.abs(u), rtol=1e-15, atol=0)
