@@ -35,12 +35,12 @@ from .errors import (
 )
 from .grid import (
     ComplexField,
+    _derivative,
     _spectral_form,
     boundary_mass_fraction,
     h1_norm_sq,
     l1_norm,
     lp_norm,
-    spectral_derivative,
     sup_norm,
 )
 
@@ -62,16 +62,11 @@ __all__ = [
 ]
 
 
-def _check_potential(f: ComplexField, V) -> np.ndarray:
+def _potential_term(f: ComplexField, V) -> float:
+    """integral(V |f|^2) dx."""
     V = np.asarray(V, dtype=float)
     if V.shape != f.values.shape:
         raise GridMismatchError("potential samples do not match the field grid")
-    return V
-
-
-def _potential_term(f: ComplexField, V) -> float:
-    """integral(V |f|^2) dx."""
-    V = _check_potential(f, V)
     return float(np.sum(V * (np.abs(f.values) ** 2)) * f.grid.dx)
 
 
@@ -241,13 +236,6 @@ class MorawetzReport:
     time_derivative: str
 
 
-def _momentum_bracket(u: np.ndarray, du: np.ndarray, t: float, x: np.ndarray):
-    """a*Im(conj(u)*du) - t*|u|^2/lambda, the time-differenced bracket."""
-    lam = np.sqrt(t * t + x * x)
-    a = -2.0 * x / lam
-    return a * np.imag(np.conj(u) * du) - t * (np.abs(u) ** 2) / lam
-
-
 def morawetz_report(
     traj: "Trajectory",
     time_derivative: str = "difference",
@@ -257,7 +245,10 @@ def morawetz_report(
     """Evaluate the identity on snapshots with t >= t_min (weight is singular
     at t = x = 0; the estimate integrates over { 1 < |t| }).
 
-    Requires at least three uniformly spaced selected snapshots.
+    Requires at least three uniformly spaced selected snapshots.  They pass
+    through a window of three: each one's derivative and momentum bracket
+    are computed when the loop first needs them and dropped when it moves
+    past, so the report holds three snapshots' worth of them, not all.
 
     ``vprime`` takes samples of dV/dx, used only in the standalone
     repulsive term; pass the closed-form derivative for family potentials
@@ -287,30 +278,31 @@ def morawetz_report(
     dx = grid.dx
     V = problem.v
     alpha = problem.alpha
-    linear = problem.linear
-    if vprime is None:
-        vprime = np.gradient(V, dx)
-    else:
-        vprime = np.asarray(vprime, dtype=float)
-        if vprime.shape != V.shape:
-            raise ParameterError("vprime must be sampled on the grid")
+    vprime = np.gradient(V, dx) if vprime is None else np.asarray(vprime, dtype=float)
+    if vprime.shape != V.shape:
+        raise ParameterError("vprime must be sampled on the grid")
 
-    fields = [traj.fields[i] for i in sel]
-    values = [f.values for f in fields]
-    derivs = [spectral_derivative(f).values for f in fields]
-    brackets = [
-        _momentum_bracket(values[k], derivs[k], times[k], x) for k in range(len(sel))
-    ]
+    xi = grid.wavenumbers
+    values = [traj.fields[i].values for i in sel]
 
-    interior = range(1, len(sel) - 1)
-    out_t, out_density, out_residual, out_repulsive = [], [], [], []
+    def derivative_and_bracket(k):
+        """du and a*Im(conj(u)*du) - t*|u|^2/lambda, the time-differenced bracket."""
+        u, t = values[k], times[k]
+        du = _derivative(u, xi)
+        lam = np.sqrt(t * t + x * x)
+        a = -2.0 * x / lam
+        return du, a * np.imag(np.conj(u) * du) - t * (np.abs(u) ** 2) / lam
+
+    out_density, out_residual, out_repulsive = [], [], []
     min_repulsive = np.inf
-    nl_weight = 0.0 if linear else 1.0
+    nl_weight = 0.0 if problem.linear else 1.0
 
-    for i in interior:
+    _, bracket_prev = derivative_and_bracket(0)
+    du, bracket = derivative_and_bracket(1)
+    for i in range(1, len(sel) - 1):
+        du_next, bracket_next = derivative_and_bracket(i + 1)
         t = float(times[i])
         u = values[i]
-        du = derivs[i]
         dens = np.abs(u) ** 2
         dens_nl = dens ** ((alpha + 2.0) / 2.0)
 
@@ -324,7 +316,7 @@ def morawetz_report(
         if time_derivative == "difference":
             dtu = (values[i + 1] - values[i - 1]) / (2.0 * h)
         else:
-            d2u = spectral_derivative(fields[i], order=2).values
+            d2u = _derivative(u, xi, order=2)
             dtu = 1j * (d2u - V * u - nl_weight * dens ** (alpha / 2.0) * u)
 
         # On solutions the V|u|^2 in l_V cancels pointwise against the
@@ -338,9 +330,9 @@ def morawetz_report(
             + V * dens
         )
         flux = np.real(du * np.conj(m)) - a * lv - re_dg * dens / 2.0
-        dflux = spectral_derivative(ComplexField(grid, flux)).values.real
+        dflux = _derivative(flux, xi).real
 
-        dt_bracket = (brackets[i + 1] - brackets[i - 1]) / (2.0 * h)
+        dt_bracket = (bracket_next - bracket_prev) / (2.0 * h)
 
         big_g = nl_weight * (alpha / (alpha + 2.0)) * dens_nl
         term_density = t * t * big_g / lam**3
@@ -356,13 +348,13 @@ def morawetz_report(
             + term_repulsive
         )
 
-        out_t.append(t)
         out_density.append(float(np.sum(t * t * dens_nl / lam**3) * dx))
         out_residual.append(float(np.sum(np.abs(residual)) * dx))
         out_repulsive.append(float(np.sum(term_repulsive) * dx))
         min_repulsive = min(min_repulsive, float(term_repulsive.min()))
+        bracket_prev, du, bracket = bracket, du_next, bracket_next
 
-    out_t = np.asarray(out_t)
+    out_t = times[1:-1]
     out_density = np.asarray(out_density)
     integral_value = float(np.trapezoid(out_density, out_t)) if out_t.size > 1 else 0.0
     return MorawetzReport(

@@ -183,11 +183,14 @@ def inner_product(f: ComplexField, g: ComplexField) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) * f.grid.dx)
 
 
+def _derivative(v: np.ndarray, xi: np.ndarray, order: int = 1) -> np.ndarray:
+    """Raw samples of the interpolant's derivative: ifft((i*xi)^order * fft(v))."""
+    return np.fft.ifft((1j * xi) ** order * np.fft.fft(v))
+
+
 def spectral_derivative(f: ComplexField, order: int = 1) -> ComplexField:
     """Derivative of the trigonometric interpolant (multiply by (i*xi)^order)."""
-    v = f.values
-    sym = (1j * f.grid.wavenumbers) ** order
-    return ComplexField(f.grid, np.fft.ifft(sym * np.fft.fft(v)))
+    return ComplexField(f.grid, _derivative(f.values, f.grid.wavenumbers, order))
 
 
 def forward_transform(f: ComplexField) -> np.ndarray:

@@ -138,11 +138,16 @@ def load_samples_csv(path) -> PotentialSpec:
     """Read a two-column (x, V) CSV into a custom_samples spec."""
     xs, vs = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                xs.append(float(row[0]))
+                vs.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                msg = f"{path} line {reader.line_num}: expected two numbers x, V, got {row!r}"
+                raise ParameterError(msg) from exc
     return PotentialSpec(
         family=PotentialFamily.CUSTOM_SAMPLES,
         custom_x=np.asarray(xs),

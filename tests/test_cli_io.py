@@ -490,6 +490,21 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("bad_row", ["0.0", "0.0,high"])
+    def test_malformed_potential_csv_row_exit_2(self, tmp_path, capsys, bad_row):
+        csv_path = tmp_path / "potential.csv"
+        csv_path.write_text(f"-10.0,0.0\n{bad_row}\n10.0,1.0\n")
+        cfg = self._write_cfg(
+            tmp_path,
+            "experiment = check_potential\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"potential.family = custom_samples\npotential.csv = {csv_path}\n",
+        )
+        code = main(["check_potential", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "line 2" in err["message"]
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         code = main(["evolve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

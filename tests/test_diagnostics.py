@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +213,20 @@ class TestDecayRatio:
             snls.decay_ratio(p, psi, [1.0, 5.0, 20.0])
 
 
+@pytest.fixture(scope="module")
+def dyadic_trajectory():
+    # 161 snapshots on a stride of 1/64: every snapshot time and spacing is
+    # exact, so a report on any sub-window uses the same h as the full one
+    g = snls.Grid(512, 64.0)
+    spec = PotentialSpec(height=2.0, width=1.0)
+    traj = snls.solve(
+        snls.NlsProblem(grid=g, v=build_potential(spec, g), alpha=5.0,
+                        u0=snls.gaussian_packet(g), dt=1.0 / 256, t_final=2.5,
+                        record_times=np.arange(161) / 64.0)
+    )
+    return traj, build_potential_derivative(spec, g)
+
+
 class TestMorawetz:
     def _linear_trajectory(self, g, v, u0, stride, t_final=2.0, dt=2.5e-4):
         times = np.arange(0.0, t_final + stride / 2, stride)
@@ -281,6 +297,46 @@ class TestMorawetz:
         assert rep.min_repulsive_density >= 0.0
         assert np.all(rep.repulsive_series >= 0.0)
         assert np.all(rep.density_series >= 0.0)
+
+    def test_report_holds_a_window_not_the_trajectory(self, dyadic_trajectory, monkeypatch):
+        # one derivative and bracket per selected snapshot would be 129 snapshots'
+        # worth here; a three-snapshot window needs a bounded number, and the
+        # report works on raw arrays, building no ComplexField
+        traj, _ = dyadic_trajectory
+        n = traj.problem.grid.n_points
+        built = []
+        init = snls.ComplexField.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(snls.ComplexField, "__init__", counting_init)
+        tracemalloc.start()
+        try:
+            snls.morawetz_report(traj, t_min=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not built
+        assert peak < 40 * n * 16
+
+    @pytest.mark.parametrize("mode", ["difference", "equation"])
+    def test_entry_depends_on_its_window_only(self, dyadic_trajectory, mode):
+        traj, vp = dyadic_trajectory
+        full = snls.morawetz_report(traj, time_derivative=mode, t_min=0.5, vprime=vp)
+        for j in (33, 36, 159):  # first interior, inside, last interior
+            window = dataclasses.replace(
+                traj, times=traj.times[j - 1:j + 2], fields=traj.fields[j - 1:j + 2]
+            )
+            one = snls.morawetz_report(
+                window, time_derivative=mode, t_min=traj.times[j - 1], vprime=vp
+            )
+            k = int(np.flatnonzero(full.times == traj.times[j])[0])
+            assert one.times.tolist() == [traj.times[j]]
+            assert one.density_series[0] == full.density_series[k]
+            assert one.residual_series[0] == full.residual_series[k]
+            assert one.repulsive_series[0] == full.repulsive_series[k]
 
 
 class TestSupBound:
