@@ -6,10 +6,12 @@ perturbed group exp(i*t*(dxx - V)) is realized two independent ways:
 - ``strang_splitting``: the splitting kernel ``strang`` with the exact
   kinetic multiplier exp(-i*h*xi^2) and the exact potential phase
   exp(-i*h*V).  Every substep is unitary, so mass is conserved to roundoff
-  for any step size; the scheme is second order in the substep h.  A
-  requested time that is not a multiple of the substep is reached by
-  shrinking the final substep, so endpoint times (multiples of pi for the
-  channel extraction) are hit exactly.
+  for any step size; the scheme is second order in the substep h.  The
+  flow is sampled on the lattice of substep multiples n*h: a requested time
+  off the lattice is one remainder substep from the lattice point below it
+  (toward zero), so endpoint times (multiples of pi for the channel
+  extraction) are hit exactly, and the state at a time does not depend on
+  which other times were requested.
 
 - ``eigendecomposition``: dense diagonalization of H = -D2 + diag(V) where
   D2 is the closed-form differentiation matrix of the trigonometric
@@ -308,8 +310,11 @@ class PerturbedPropagator:
     def evolve_through(self, f: ComplexField, times) -> Iterator[ComplexField]:
         """Yield exp(i*t_k*(dxx - V)) f for each t_k in order (any sign, repeats allowed).
 
-        One kernel call over the gaps t_k - t_(k-1), bit for bit the chained
-        ``evolve`` calls, or one projection onto the eigenbasis.
+        One kernel sweep over the lattice points of the times, or one
+        projection onto the eigenbasis.  Each yield equals ``evolve(f, t_k)``
+        to roundoff whatever other times were requested: a Strang step of
+        -dt inverts one of +dt, and a time off the lattice adds one
+        remainder substep from its lattice point.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or not np.all(np.isfinite(times)):
@@ -318,16 +323,28 @@ class PerturbedPropagator:
             raise GridMismatchError("field and propagator grids differ")
         return (ComplexField(self.grid, u) for u in self._flow(f.values, times))
 
-    def _flow(self, u: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
-        """The flow of raw samples u, shape (N,) or a (B, N) stack of rows, at each time.
+    def _flow(self, u: np.ndarray, times, start: float = 0.0) -> Iterator[np.ndarray]:
+        """The flow of raw samples u at ``start``, shape (N,) or a (B, N) stack, at each time.
 
-        Unchecked: the caller validates u and the times.  The splitting path
-        overwrites and yields one buffer; ``np.fft`` works along the last
-        axis and the multipliers broadcast, so each row is bit for bit its
-        own (N,) flow.
+        Unchecked: the caller validates u and the times, and ``start`` is a
+        point of the dt lattice.  The splitting path sweeps the lattice
+        points n_k*dt of the times (``substep_sizes``, signed) in one kernel
+        call and yields its buffer there; a time off the lattice is one
+        remainder substep on a copy of its lattice state.  ``np.fft`` works
+        along the last axis and the multipliers broadcast, so each row is
+        bit for bit its own (N,) flow.
         """
         if self.method == "eigendecomposition":
             energies, modes = self._eigensystem()
             coeff = _real_matmul(u, modes)
-            return (_real_matmul(np.exp(-1j * energies * t) * coeff, modes.T) for t in times)
-        return strang(np.array(u), np.diff(times, prepend=0.0), self.dt, *self._rules)
+            return (
+                _real_matmul(np.exp(-1j * energies * (t - start)) * coeff, modes.T) for t in times
+            )
+        n_k, rems = [], []
+        for t in (start, *times):
+            n, rem = substep_sizes(t, self.dt)
+            n_k.append(math.copysign(n, t))
+            rems.append(math.copysign(rem, t))
+        sweep = strang(np.array(u), np.diff(n_k) * self.dt, self.dt, *self._rules)
+        return (next(strang(u.copy(), (rem,), self.dt, *self._rules)) if rem else u
+                for rem, u in zip(rems[1:], sweep))

@@ -8,8 +8,9 @@ and evaluates |u|^alpha as (re^2 + im^2)^(alpha/2), so the two must agree to
 roundoff on every snapshot.
 
 ``PerturbedPropagator.evolve_through`` samples the linear flow at a list of
-times in one sweep; it must reproduce chained ``evolve`` calls bit for bit
-on the splitting path and to roundoff on the eigendecomposition path.  The
+times in one sweep; it must reproduce one ``evolve`` call per time to
+roundoff on the splitting path, and chained ``evolve`` calls to roundoff on
+the eigendecomposition path.  The
 same flow run on a (B, N) stack of rows must reproduce each row's own
 sweep, and so must the profile search that runs its ensemble as one stack.
 The nonlinear kernel on a stack with one power per row must reproduce each
@@ -234,15 +235,18 @@ def chained(p, f, times):
 
 
 @examples
-@given(grids, heights, amplitudes, momenta, st.floats(5e-3, 0.1), time_lists)
-def test_evolve_through_splitting_is_chained_evolve(n_exp, height, amplitude, momentum,
-                                                    dt, times):
+@given(grids, heights, amplitudes, momenta, st.floats(5e-3, 0.1),
+       time_lists.flatmap(st.permutations))
+def test_evolve_through_splitting_is_direct_evolve(n_exp, height, amplitude, momentum,
+                                                   dt, times):
+    # shuffled, signed times off the step lattice: each yield is its lattice
+    # state plus one remainder substep, whatever else was requested
     grid, v, u0 = setting(n_exp, height, amplitude, momentum)
     p = snls.PerturbedPropagator(grid, v, dt=dt)
     swept = list(p.evolve_through(u0, times))
     assert len(swept) == len(times)
-    for a, b in zip(swept, chained(p, u0, times)):
-        assert np.array_equal(a.values, b.values)
+    for a, t in zip(swept, times):
+        assert rel_l2(a.values, p.evolve(u0, t).values) <= TOL
 
 
 @examples
