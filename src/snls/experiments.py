@@ -336,13 +336,15 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     traj = solve(problem)
     prop = _build_propagator(cfg, grid, v)
 
-    states = scattering._wave_states(traj, prop, wave_times)
+    # the channel study's flow of psi_plus(T_max) is read off the pullback
+    n_max = cfg.get_int("channels.n_max", 6)
+    states = scattering._wave_states(traj, prop, wave_times, scattering._channel_times(n_max))
+    states, flow = states[: len(wave_times)], states[len(wave_times) :]
     gaps = [
         h1_norm_sq(ComplexField(grid, states[i + 1].values - states[i].values)) ** 0.5
         for i in range(len(states) - 1)
     ]
-    n_max = cfg.get_int("channels.n_max", 6)
-    study = scattering.channel_convergence_study(prop, states[-1], n_max)
+    study = scattering._channel_study(states[-1], flow)
     final = study.pairs[-1]
     t_last = wave_times[-1]
     recon = (

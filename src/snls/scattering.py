@@ -62,7 +62,7 @@ from .grid import (
     lp_norm,
     translate,
 )
-from .propagators import PerturbedPropagator, evolve_free, evolve_shifted
+from .propagators import PerturbedPropagator, evolve_free, evolve_shifted, substep_sizes
 from .solver import Trajectory
 
 __all__ = [
@@ -106,10 +106,6 @@ def _channel_pair(state_a: ComplexField, state_b: ComplexField, n: int):
     return ComplexField(grid, 0.5 * (a_n + b_n)), ComplexField(grid, 0.5 * (a_n - b_n))
 
 
-def _pullback_pair(p: PerturbedPropagator, psi: ComplexField, n: int):
-    return _channel_pair(p.evolve(psi, 2.0 * np.pi * n), p.evolve(psi, (2.0 * n + 1.0) * np.pi), n)
-
-
 def _h1_dist(f: ComplexField, g: ComplexField) -> float:
     return h1_norm_sq(ComplexField(f.grid, f.values - g.values)) ** 0.5
 
@@ -119,16 +115,18 @@ def extract_linear_channels(
 ) -> ChannelPair:
     """Extract (eta, gamma) at subsequence index n >= 1.
 
-    For n > 1 the Cauchy gap against the (n-1)-extraction is computed,
-    which doubles the propagation cost; use
+    For n > 1 the Cauchy gap against the (n-1)-extraction is computed from
+    two more samples of the same sweep of the flow; use
     :func:`channel_convergence_study` for whole sweeps.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    eta, gamma = _pullback_pair(p, psi, n)
+    # the flow at pi*k, k = 2n-2 .. 2n+1 (2n .. 2n+1 at n = 1)
+    states = list(p.evolve_through(psi, np.pi * np.arange(2 * n - 2 * (n > 1), 2 * n + 2)))
+    eta, gamma = _channel_pair(states[-2], states[-1], n)
     gap = 0.0
     if n > 1:
-        eta_prev, gamma_prev = _pullback_pair(p, psi, n - 1)
+        eta_prev, gamma_prev = _channel_pair(states[0], states[1], n - 1)
         gap = _h1_dist(eta, eta_prev) + _h1_dist(gamma, gamma_prev)
     return ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap)
 
@@ -144,14 +142,30 @@ class ChannelStudy:
     reconstruction_defects: np.ndarray
 
 
+def _channel_times(n_max: int) -> np.ndarray:
+    """The endpoint times pi*k, k = 2 .. 2*n_max + 2, that a study up to n_max samples."""
+    if n_max < 1:
+        raise ParameterError("n_max must be >= 1")
+    return np.pi * np.arange(2, 2 * n_max + 3)
+
+
 def channel_convergence_study(
     p: PerturbedPropagator, psi: ComplexField, n_max: int
 ) -> ChannelStudy:
     """Extract channels for every n in 1..n_max with one pass of the flow.
 
-    The perturbed state is sampled at all endpoint times pi*k in one
-    ``evolve_through`` sweep.  The reconstruction defect of the n-th pair
-    is measured at the held-out next endpoint,
+    The perturbed state is sampled at the ``_channel_times`` in one
+    ``evolve_through`` sweep of the step lattice, and :func:`_channel_study`
+    reads the study off the samples.
+    """
+    return _channel_study(psi, list(p.evolve_through(psi, _channel_times(n_max))))
+
+
+def _channel_study(psi: ComplexField, states) -> ChannelStudy:
+    """Pairs, Cauchy gaps and defects from the flow of psi at the ``_channel_times``.
+
+    The reconstruction defect of the n-th pair is measured at the held-out
+    next endpoint,
 
         |exp(it(dxx-V))psi - exp(it dxx)eta_n - exp(it(dxx-1))gamma_n|_L2
         at t = 2*pi*(n+1):
@@ -161,11 +175,8 @@ def channel_convergence_study(
     probe), while at the held-out time the defect decays exactly when the
     extractions converge.
     """
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
     # states[k - 2] at the endpoint time pi*k, k = 2 .. 2*n_max + 2 (holdout included)
-    states = list(p.evolve_through(psi, np.pi * np.arange(2, 2 * n_max + 3)))
-
+    n_max = (len(states) - 1) // 2
     pairs = []
     gaps, mass_defects, rec_defects = [], [], []
     prev = None
@@ -226,8 +237,12 @@ def nonlinear_wave_state(
     return p.evolve(u_T, -T)
 
 
-def _wave_states(traj: Trajectory, p: PerturbedPropagator, times) -> list[ComplexField]:
-    """``nonlinear_wave_state`` at each recorded time, in the order given.
+def _wave_states(
+    traj: Trajectory, p: PerturbedPropagator, times, flow_times=()
+) -> list[ComplexField]:
+    """``nonlinear_wave_state`` at each recorded time, in the order given,
+    followed by the flow exp(is(dxx-V)) psi_plus(T_max) of the latest one at
+    each ``flow_times`` entry s >= 0.
 
     One backward sweep of a stack that sheds rows: the snapshots u(T) are
     stacked longest T first, and each leg between consecutive sorted times
@@ -235,10 +250,16 @@ def _wave_states(traj: Trajectory, p: PerturbedPropagator, times) -> list[Comple
     reached t = 0.  At T = 10, 20, 40, three rows run 10 units, two run 10
     more and one the last 20.  The shortest-T row runs one leg, bit for bit
     its one-row pullback.  A row that crosses a leg boundary takes two half
-    phases there in place of one merged phase: with the times on the step
-    lattice, as ``channels`` requires, that is a roundoff-level change; off
-    it, each leg ends on its own shrunken substep and the rows move at
-    splitting-error level.
+    phases there in place of one merged phase, a roundoff-level change; on
+    the splitting path the times must lie on the step lattice.
+
+    On its way down the longest row passes the flow of psi_plus(T_max) at
+    every lattice point of [0, T_max].  A flow time there is read off it as
+    the lattice ``_flow`` from psi_plus(T_max) samples it: a copy of its
+    lattice state plus one remainder substep.  The two agree at roundoff,
+    since a Strang step of -dt inverts one of +dt; the samples add leg
+    boundaries, which move the pullback at roundoff.  Flow times past T_max
+    run forward from u(T_max) in one sweep.
     """
     times = [float(T) for T in times]
     order = sorted(range(len(times)), key=times.__getitem__)
@@ -248,14 +269,33 @@ def _wave_states(traj: Trajectory, p: PerturbedPropagator, times) -> list[Comple
         if idx is None:
             raise InsufficientDataError(f"no snapshot at T={times[k]}")
         snapshots.append(traj.fields[idx].values)
+    if p.method == "strang_splitting" and any(substep_sizes(T, p.dt)[1] for T in times):
+        raise ParameterError("wave times must be multiples of the propagator dt")
+    grid, t_max = traj.problem.grid, times[order[-1]]
+    flow_times = np.asarray(flow_times, dtype=float)
+    if np.any(flow_times < 0.0):
+        raise ParameterError("flow times must be >= 0")
+    flows = [None] * len(flow_times)
+    ahead = np.flatnonzero(flow_times > t_max)
+    for j, u in zip(ahead, p._flow(snapshots[0], flow_times[ahead], start=t_max)):
+        flows[j] = ComplexField(grid, u)
+    # legs run down the flow of psi_plus(T_max); flow times not yet read in
+    # decreasing order
+    pending = sorted(np.flatnonzero(flow_times <= t_max), key=lambda j: -flow_times[j])
     u = np.stack(snapshots)
     states, t_done = [None] * len(times), 0.0
     for rows, k in zip(range(len(order), 0, -1), order):
+        t_end = t_max - times[k]
+        on_leg = [j for j in pending if flow_times[j] >= t_end]
+        pending = pending[len(on_leg):]
         # the last row runs as (N,): a (1, N) stack pays for 2-D broadcasting
-        u = next(p._flow(u[:rows] if rows > 1 else u[0], np.array([t_done - times[k]])))
-        states[k] = ComplexField(traj.problem.grid, u.reshape(rows, -1)[-1])
+        leg = p._flow(u[:rows] if rows > 1 else u[0], [*flow_times[on_leg], t_end], t_max - t_done)
+        for j, state in zip(on_leg, leg):
+            flows[j] = ComplexField(grid, state.reshape(rows, -1)[0])
+        u = next(leg)
+        states[k] = ComplexField(grid, u.reshape(rows, -1)[-1])
         t_done = times[k]
-    return states
+    return states + flows
 
 
 def extract_nonlinear_channels(
