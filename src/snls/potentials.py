@@ -135,7 +135,11 @@ def build_potential_derivative(spec: PotentialSpec, grid: Grid) -> np.ndarray:
 
 
 def load_samples_csv(path) -> PotentialSpec:
-    """Read a two-column (x, V) CSV into a custom_samples spec."""
+    """Read a two-column (x, V) CSV into a custom_samples spec.
+
+    A row is two numbers, optionally followed by one empty cell (a trailing
+    comma); any other row raises ParameterError naming the file and line.
+    """
     xs, vs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -143,6 +147,8 @@ def load_samples_csv(path) -> PotentialSpec:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
+                if len(row) > 3 or (len(row) == 3 and row[2].strip()):
+                    raise ValueError("extra cells")
                 xs.append(float(row[0]))
                 vs.append(float(row[1]))
             except (IndexError, ValueError) as exc:

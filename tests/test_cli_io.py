@@ -505,6 +505,20 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert "line 2" in err["message"]
 
+    def test_three_column_potential_csv_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "potential.csv"
+        csv_path.write_text("-10.0,0.0,0.0\n0.0,0.5,0.5\n10.0,1.0,1.0\n")
+        cfg = self._write_cfg(
+            tmp_path,
+            "experiment = check_potential\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"potential.family = custom_samples\npotential.csv = {csv_path}\n",
+        )
+        code = main(["check_potential", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{csv_path} line 1" in err["message"]
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         code = main(["evolve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -146,6 +146,20 @@ class TestCustomSamples:
         expected = np.interp(g.x, xs, vs)
         assert np.allclose(built, expected, atol=1e-12)
 
+    def test_csv_trailing_comma_accepted(self, tmp_path):
+        path = tmp_path / "pot.csv"
+        path.write_text("-10.0,0.0,\n0.0,0.5\n10.0,1.0,\n")
+        spec = load_samples_csv(path)
+        assert list(spec.custom_x) == [-10.0, 0.0, 10.0]
+        assert list(spec.custom_v) == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("bad_row", ["0.0,0.5,7.0", "0.0,0.5,,", "0.0,0.5,x"])
+    def test_csv_extra_cells_rejected(self, tmp_path, bad_row):
+        path = tmp_path / "pot.csv"
+        path.write_text(f"-10.0,0.0\n{bad_row}\n10.0,1.0\n")
+        with pytest.raises(ParameterError, match=r"pot\.csv line 2"):
+            load_samples_csv(path)
+
     def test_custom_validation(self):
         with pytest.raises(ParameterError):
             PotentialSpec(family=PotentialFamily.CUSTOM_SAMPLES)
