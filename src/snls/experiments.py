@@ -329,16 +329,16 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     cfg = cfg.with_override("solver.t_final", wave_times[-1])
     cfg = cfg.with_override("solver.record_times", wave_times)
     problem = _build_problem(cfg, grid, v, u0)
-    # off the step lattice a pullback leg ends on a shrunken substep that
-    # the other rows do not take, and the gaps would hold splitting error
+    # the shedding pullback, and the channel study read off it, sweep the
+    # step lattice down from the last wave time
     if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
         raise ConfigError("channels: channels.wave_times must be multiples of solver.dt")
+    n_max = cfg.get_int("channels.n_max", 6)
+    study_times = scattering._channel_times(n_max)
     traj = solve(problem)
     prop = _build_propagator(cfg, grid, v)
 
-    # the channel study's flow of psi_plus(T_max) is read off the pullback
-    n_max = cfg.get_int("channels.n_max", 6)
-    states = scattering._wave_states(traj, prop, wave_times, scattering._channel_times(n_max))
+    states = scattering._wave_states(traj, prop, wave_times, study_times)
     states, flow = states[: len(wave_times)], states[len(wave_times) :]
     gaps = [
         h1_norm_sq(ComplexField(grid, states[i + 1].values - states[i].values)) ** 0.5

@@ -6,12 +6,10 @@ perturbed group exp(i*t*(dxx - V)) is realized two independent ways:
 - ``strang_splitting``: the splitting kernel ``strang`` with the exact
   kinetic multiplier exp(-i*h*xi^2) and the exact potential phase
   exp(-i*h*V).  Every substep is unitary, so mass is conserved to roundoff
-  for any step size; the scheme is second order in the substep h.  The
-  flow is sampled on the lattice of substep multiples n*h: a requested time
-  off the lattice is one remainder substep from the lattice point below it
-  (toward zero), so endpoint times (multiples of pi for the channel
-  extraction) are hit exactly, and the state at a time does not depend on
-  which other times were requested.
+  for any step size; the scheme is second order in the substep h.  A
+  requested time off the lattice of substep multiples is one remainder
+  substep from its lattice point, so endpoint times (multiples of pi for the
+  channel extraction) are hit exactly.
 
 - ``eigendecomposition``: dense diagonalization of H = -D2 + diag(V) where
   D2 is the closed-form differentiation matrix of the trigonometric
@@ -310,11 +308,9 @@ class PerturbedPropagator:
     def evolve_through(self, f: ComplexField, times) -> Iterator[ComplexField]:
         """Yield exp(i*t_k*(dxx - V)) f for each t_k in order (any sign, repeats allowed).
 
-        One kernel sweep over the lattice points of the times, or one
-        projection onto the eigenbasis.  Each yield equals ``evolve(f, t_k)``
-        to roundoff whatever other times were requested: a Strang step of
-        -dt inverts one of +dt, and a time off the lattice adds one
-        remainder substep from its lattice point.
+        One kernel sweep over the times' lattice points, or one projection
+        onto the eigenbasis; each yield is ``evolve(f, t_k)`` at roundoff,
+        whatever other times were requested.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or not np.all(np.isfinite(times)):
@@ -326,13 +322,11 @@ class PerturbedPropagator:
     def _flow(self, u: np.ndarray, times, start: float = 0.0) -> Iterator[np.ndarray]:
         """The flow of raw samples u at ``start``, shape (N,) or a (B, N) stack, at each time.
 
-        Unchecked: the caller validates u and the times, and ``start`` is a
-        point of the dt lattice.  The splitting path sweeps the lattice
-        points n_k*dt of the times (``substep_sizes``, signed) in one kernel
-        call and yields its buffer there; a time off the lattice is one
-        remainder substep on a copy of its lattice state.  ``np.fft`` works
-        along the last axis and the multipliers broadcast, so each row is
-        bit for bit its own (N,) flow.
+        Unchecked: the caller validates u and the times, and puts ``start``
+        on the dt lattice.  The splitting path sweeps the times' lattice
+        points (``substep_sizes``, signed) in one kernel call and yields its
+        buffer there, or one remainder substep on a copy off the lattice;
+        ``np.fft`` works along the last axis, so each row is its own flow.
         """
         if self.method == "eigendecomposition":
             energies, modes = self._eigensystem()

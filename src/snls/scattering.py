@@ -62,7 +62,7 @@ from .grid import (
     lp_norm,
     translate,
 )
-from .propagators import PerturbedPropagator, evolve_free, evolve_shifted, substep_sizes
+from .propagators import PerturbedPropagator, evolve_free, evolve_shifted
 from .solver import Trajectory
 
 __all__ = [
@@ -241,25 +241,22 @@ def _wave_states(
     traj: Trajectory, p: PerturbedPropagator, times, flow_times=()
 ) -> list[ComplexField]:
     """``nonlinear_wave_state`` at each recorded time, in the order given,
-    followed by the flow exp(is(dxx-V)) psi_plus(T_max) of the latest one at
-    each ``flow_times`` entry s >= 0.
+    then the flow of psi_plus(T_max) at each of ``flow_times``.
 
-    One backward sweep of a stack that sheds rows: the snapshots u(T) are
-    stacked longest T first, and each leg between consecutive sorted times
-    runs the rows still pulling back and then drops the last one, which has
-    reached t = 0.  At T = 10, 20, 40, three rows run 10 units, two run 10
-    more and one the last 20.  The shortest-T row runs one leg, bit for bit
-    its one-row pullback.  A row that crosses a leg boundary takes two half
-    phases there in place of one merged phase, a roundoff-level change; on
-    the splitting path the times must lie on the step lattice.
+    Unchecked: the caller puts the times on the step lattice, as
+    ``channels`` requires, and the flow times at or above 0.  One backward
+    sweep of a stack that sheds rows: the snapshots u(T) are stacked
+    longest T first, and each leg between consecutive sorted times runs the
+    rows still pulling back and then drops the last one, which has reached
+    t = 0.  At T = 10, 20, 40, three rows run 10 units, two run 10 more and
+    one the last 20.  The shortest-T row runs one leg, bit for bit its
+    one-row pullback; a row that crosses a leg boundary moves at roundoff.
 
-    On its way down the longest row passes the flow of psi_plus(T_max) at
-    every lattice point of [0, T_max].  A flow time there is read off it as
-    the lattice ``_flow`` from psi_plus(T_max) samples it: a copy of its
-    lattice state plus one remainder substep.  The two agree at roundoff,
-    since a Strang step of -dt inverts one of +dt; the samples add leg
-    boundaries, which move the pullback at roundoff.  Flow times past T_max
-    run forward from u(T_max) in one sweep.
+    The longest row passes the flow of psi_plus(T_max) at each lattice point
+    of [0, T_max], so a flow time there is read off it as a copy plus one
+    remainder substep: the lattice ``_flow`` from psi_plus(T_max) at
+    roundoff, since a Strang step of -dt inverts one of +dt.  Flow times
+    past T_max run forward from u(T_max).
     """
     times = [float(T) for T in times]
     order = sorted(range(len(times)), key=times.__getitem__)
@@ -269,18 +266,13 @@ def _wave_states(
         if idx is None:
             raise InsufficientDataError(f"no snapshot at T={times[k]}")
         snapshots.append(traj.fields[idx].values)
-    if p.method == "strang_splitting" and any(substep_sizes(T, p.dt)[1] for T in times):
-        raise ParameterError("wave times must be multiples of the propagator dt")
     grid, t_max = traj.problem.grid, times[order[-1]]
     flow_times = np.asarray(flow_times, dtype=float)
-    if np.any(flow_times < 0.0):
-        raise ParameterError("flow times must be >= 0")
     flows = [None] * len(flow_times)
     ahead = np.flatnonzero(flow_times > t_max)
-    for j, u in zip(ahead, p._flow(snapshots[0], flow_times[ahead], start=t_max)):
+    for j, u in zip(ahead, p._flow(snapshots[0], flow_times[ahead], t_max)):
         flows[j] = ComplexField(grid, u)
-    # legs run down the flow of psi_plus(T_max); flow times not yet read in
-    # decreasing order
+    # the other flow times, in the order the longest row passes them
     pending = sorted(np.flatnonzero(flow_times <= t_max), key=lambda j: -flow_times[j])
     u = np.stack(snapshots)
     states, t_done = [None] * len(times), 0.0

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import snls
 from snls.checkpoint import read_checkpoint, write_checkpoint
+from snls import propagators
 from snls.cli import main
 from snls.config import parse_config_text
 from snls.errors import ConfigError, ParameterError
 from snls.experiments import _write_outputs, emit_plot_data, run
+from snls.propagators import substep_sizes
 from snls.solver import solve_stack
 
 examples = settings(max_examples=50)
@@ -361,6 +363,44 @@ class TestExperiments:
         summary = run(cfg, output_dir=tmp_path / "ch")
         assert summary["end_to_end_reconstruction_defect"] < 0.1
         assert len(summary["wave_operator_gaps"]) == 1
+
+    def test_channels_study_adds_only_the_forward_tail(self, tmp_path, monkeypatch):
+        # the study reads its flow off the pullback: past the pullback's own
+        # T_max/dt steps it may add the forward tail from T_max to the last
+        # study time and one remainder substep per time off the step lattice
+        dt, t_max = 0.0078125, 12.0
+        substeps = []
+        kernel = propagators.strang
+
+        def counting(u, spans, dt, *rules, **kwargs):
+            spans = list(spans)
+            substeps.extend(n + (rem > 0) for n, rem in (substep_sizes(s, dt) for s in spans))
+            return kernel(u, spans, dt, *rules, **kwargs)
+
+        monkeypatch.setattr(propagators, "strang", counting)
+        cfg = parse_config_text(
+            f"""
+            experiment = channels
+            grid.n_points = 512
+            grid.length = 200.0
+            potential.family = gaussian_matched_step
+            potential.height = 2.0
+            potential.width = 1.0
+            solver.alpha = 5.0
+            solver.dt = {dt}
+            propagator.dt = {dt}
+            channels.wave_times = 6.0, {t_max}
+            channels.n_max = 1
+            initial.kind = gaussian
+            initial.amplitude = 0.05
+            initial.width = 2.0
+            """
+        )
+        run(cfg, output_dir=tmp_path / "ch")
+        study_times = math.pi * np.arange(2, 5)
+        off_lattice = sum(bool(substep_sizes(t, dt)[1]) for t in study_times)
+        tail = math.ceil((study_times[-1] - t_max) / dt)
+        assert t_max / dt <= sum(substeps) <= t_max / dt + tail + off_lattice
 
     def test_sweep_fans_out(self, tmp_path):
         cfg = parse_config_text(

@@ -162,6 +162,29 @@ class TestWaveOperator:
             for b in alone[i + 1:]:
                 assert l2_dist(a, b) > 1e-6 * snls.l2_norm_sq(b) ** 0.5
 
+    def test_pullback_reads_the_study_flow_off_its_longest_row(self, channel_grid):
+        # 2pi .. 4pi lie within T_max = 13 and are read off the longest row
+        # on its way down; 5pi and 6pi run forward from u(T_max)
+        dt, t_max = 2.0**-7, 13.0
+        v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
+        u0 = snls.gaussian_packet(channel_grid, amplitude=0.3, width=2.0)
+        traj = snls.solve(snls.NlsProblem(grid=channel_grid, v=v, alpha=5.0, u0=u0, dt=dt,
+                                          t_final=t_max, record_times=[6.5, t_max]))
+        p = snls.PerturbedPropagator(channel_grid, v, dt=dt)
+        times = scattering._channel_times(2)
+        states = scattering._wave_states(traj, p, [6.5, t_max], times)
+        psi_plus, flow = states[1], states[2:]
+        assert len(flow) == len(times)
+        # Strang steps of -dt invert those of +dt, so the states read on the
+        # way down are the lattice flow from psi_plus at roundoff
+        for state, direct in zip(flow, p.evolve_through(psi_plus, times)):
+            assert l2_dist(state, direct) <= 1e-10 * snls.l2_norm_sq(direct) ** 0.5
+        ahead = times > t_max
+        assert ahead.sum() == 2
+        forward = [u.copy() for u in p._flow(traj.field_at(t_max).values, times[ahead], t_max)]
+        for state, u in zip(np.array(flow, dtype=object)[ahead], forward):
+            assert np.array_equal(state.values, u)
+
     def test_shedding_pullback_needs_snapshots(self, channel_grid):
         v = np.zeros(channel_grid.n_points)
         u0 = snls.gaussian_packet(channel_grid, amplitude=0.05)
