@@ -56,6 +56,7 @@ Recognized keys (see README for the per-experiment required sets):
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .errors import ConfigError
@@ -123,10 +124,19 @@ def parse_config_text(text: str, source: str = "<string>") -> "RunConfig":
     return RunConfig(entries, source=source)
 
 
-def parse_config(path) -> "RunConfig":
-    path = Path(path)
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a byte that does not decode is a ConfigError naming its line."""
+    data = Path(path).read_bytes()
     try:
-        text = path.read_text()
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
+def parse_config(path) -> "RunConfig":
+    try:
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
@@ -148,9 +158,7 @@ class RunConfig:
 
     def get_float(self, key: str, default=_MISSING) -> float:
         val = self.get(key, default)
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{self.source}: {key} must be a number, got {val!r}")
-        return float(val)
+        return self._floats(key, val, [val], "a number")[0]
 
     def get_int(self, key: str, default=_MISSING) -> int:
         val = self.get(key, default)
@@ -172,13 +180,17 @@ class RunConfig:
 
     def get_float_list(self, key: str, default=_MISSING) -> list:
         val = self.get(key, default)
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            return [float(val)]
-        if isinstance(val, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
-        ):
-            return [float(v) for v in val]
-        raise ConfigError(f"{self.source}: {key} must be a list of numbers, got {val!r}")
+        items = val if isinstance(val, list) else [val]
+        return self._floats(key, val, items, "a list of numbers")
+
+    def _floats(self, key: str, val, items: list, kind: str) -> list:
+        """The items as floats; a non-number, inf or nan among them is a ConfigError."""
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"{self.source}: {key} must be {kind}, got {val!r}")
+        # nan fails the comparison, and so does an int past the float range
+        if not all(abs(v) <= sys.float_info.max for v in items):
+            raise ConfigError(f"{self.source}: {key} must be finite, got {val!r}")
+        return [float(v) for v in items]
 
     def experiment(self) -> str:
         name = self.get_str("experiment")

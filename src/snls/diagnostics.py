@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
 )
 from .grid import (
+    BOUNDARY_WARN_FRACTION,
     ComplexField,
     _derivative,
     _spectral_form,
@@ -205,10 +206,10 @@ def decay_ratio(
     contaminated = False
     for k, (t, cur) in enumerate(zip(times, p.evolve_through(psi, times))):
         ratios[k] = math.sqrt(t) * sup_norm(cur) / denom
-        if not contaminated and boundary_mass_fraction(cur) > 0.01:
+        if not contaminated and boundary_mass_fraction(cur) > BOUNDARY_WARN_FRACTION:
             contaminated = True
             warnings.warn(
-                f"boundary mass fraction exceeded 1% at t={t:.4g}; "
+                f"boundary mass fraction exceeded {BOUNDARY_WARN_FRACTION:.0%} at t={t:.4g}; "
                 "later ratios may be wrap-around contaminated",
                 stacklevel=2,
             )

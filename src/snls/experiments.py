@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, scattering
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import RunConfig
+from .config import RunConfig, _read_text
 from .errors import ConfigError, SnlsError
 from .grid import ComplexField, Grid, gaussian_packet, h1_norm_sq, l2_norm_sq, translate
 from .potentials import (
@@ -25,7 +25,7 @@ from .potentials import (
     check_hypotheses,
     load_samples_csv,
 )
-from .propagators import PerturbedPropagator, evolve_free, evolve_shifted, substep_sizes
+from .propagators import PerturbedPropagator, free_decay_constant, substep_sizes
 from .solver import NlsProblem, solve, solve_stack
 
 __all__ = ["run", "emit_plot_data"]
@@ -152,13 +152,15 @@ def _format_cell(value) -> str:
 def emit_plot_data(series_path, columns) -> str:
     """Extract columns from a series.csv into a gnuplot-ready text block.
 
-    Unknown columns raise a ConfigError that lists what is available.
+    Unknown columns raise a ConfigError that lists what is available.  Text
+    that is not UTF-8, or a row whose cell count is not the header's, raises
+    a ConfigError naming its line.
     """
-    with open(series_path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [(no, ln.split(",")) for no, ln in enumerate(_read_text(series_path).splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise ConfigError(f"{series_path}: empty series file")
-    header = lines[0].split(",")
+    header = lines[0][1]
     missing = [c for c in columns if c not in header]
     if missing:
         raise ConfigError(
@@ -166,8 +168,9 @@ def emit_plot_data(series_path, columns) -> str:
         )
     idx = [header.index(c) for c in columns]
     out_lines = ["# " + " ".join(columns)]
-    for ln in lines[1:]:
-        cells = ln.split(",")
+    for no, cells in lines[1:]:
+        if len(cells) != len(header):
+            raise ConfigError(f"{series_path}:{no}: {len(cells)} cells, header has {len(header)}")
         out_lines.append(" ".join(cells[i] for i in idx))
     return "\n".join(out_lines) + "\n"
 
@@ -267,7 +270,7 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
             cfg.get_int("decay.num", 13),
         )
     ratios = diagnostics.decay_ratio(prop, psi, times)
-    free_const = (4.0 * np.pi) ** -0.5
+    free_const = free_decay_constant()
     summary = {
         "max_ratio": float(np.max(ratios)),
         "final_ratio": float(ratios[-1]),
@@ -303,15 +306,8 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
     }
     header = ["n", "cauchy_gap", "mass_defect", "reconstruction_defect", "eta_mass", "gamma_mass"]
     rows = [
-        [
-            int(n),
-            study.cauchy_gaps[i],
-            study.mass_defects[i],
-            study.reconstruction_defects[i],
-            l2_norm_sq(study.pairs[i].eta),
-            l2_norm_sq(study.pairs[i].gamma),
-        ]
-        for i, n in enumerate(study.ns)
+        [pr.extraction_n, pr.cauchy_gap, mass, rec, l2_norm_sq(pr.eta), l2_norm_sq(pr.gamma)]
+        for pr, mass, rec in zip(study.pairs, study.mass_defects, study.reconstruction_defects)
     ]
     _write_outputs(cfg, outdir, summary, header, rows)
     return summary
@@ -340,19 +336,10 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
 
     states = scattering._wave_states(traj, prop, wave_times, study_times)
     states, flow = states[: len(wave_times)], states[len(wave_times) :]
-    gaps = [
-        h1_norm_sq(ComplexField(grid, states[i + 1].values - states[i].values)) ** 0.5
-        for i in range(len(states) - 1)
-    ]
+    gaps = [scattering._h1_dist(b, a) for a, b in zip(states, states[1:])]
     study = scattering._channel_study(states[-1], flow)
-    final = study.pairs[-1]
     t_last = wave_times[-1]
-    recon = (
-        traj.field_at(t_last).values
-        - evolve_free(final.eta, t_last).values
-        - evolve_shifted(final.gamma, t_last).values
-    )
-    defect = l2_norm_sq(ComplexField(grid, recon)) ** 0.5
+    defect = scattering._reconstruction_defect(traj.field_at(t_last), study.pairs[-1], t_last)
     summary = {
         "wave_times": wave_times,
         "wave_operator_gaps": gaps,

@@ -219,6 +219,9 @@ def translate(f: ComplexField, shift: float) -> ComplexField:
     return ComplexField(f.grid, np.fft.ifft(phase * np.fft.fft(v)))
 
 
+BOUNDARY_WARN_FRACTION = 0.01  # boundary mass fraction past which wrap-around is reported
+
+
 def boundary_mass_fraction(f: ComplexField) -> float:
     """Mass fraction in the outer 10% of the box (wrap-around monitor)."""
     v = f.values

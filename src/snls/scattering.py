@@ -98,48 +98,37 @@ class ChannelPair:
         return l2_norm_sq(self.eta) + l2_norm_sq(self.gamma) - l2_norm_sq(psi)
 
 
-def _channel_pair(state_a: ComplexField, state_b: ComplexField, n: int):
-    """(eta, gamma) from the perturbed states at t = 2*pi*n and (2n+1)*pi."""
-    a_n = evolve_free(state_a, -2.0 * np.pi * n).values
-    b_n = evolve_free(state_b, -(2.0 * n + 1.0) * np.pi).values
-    grid = state_a.grid
-    return ComplexField(grid, 0.5 * (a_n + b_n)), ComplexField(grid, 0.5 * (a_n - b_n))
-
-
 def _h1_dist(f: ComplexField, g: ComplexField) -> float:
     return h1_norm_sq(ComplexField(f.grid, f.values - g.values)) ** 0.5
+
+
+def _reconstruction_defect(state: ComplexField, pair: ChannelPair, t: float) -> float:
+    """|state - exp(it dxx)eta - exp(it(dxx-1))gamma|_L2, the pair's miss of state at t."""
+    recon = state.values - evolve_free(pair.eta, t).values - evolve_shifted(pair.gamma, t).values
+    return l2_norm_sq(ComplexField(state.grid, recon)) ** 0.5
 
 
 def extract_linear_channels(
     p: PerturbedPropagator, psi: ComplexField, n: int
 ) -> ChannelPair:
-    """Extract (eta, gamma) at subsequence index n >= 1.
-
-    For n > 1 the Cauchy gap against the (n-1)-extraction is computed from
-    two more samples of the same sweep of the flow; use
-    :func:`channel_convergence_study` for whole sweeps.
-    """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    # the flow at pi*k, k = 2n-2 .. 2n+1 (2n .. 2n+1 at n = 1)
-    states = list(p.evolve_through(psi, np.pi * np.arange(2 * n - 2 * (n > 1), 2 * n + 2)))
-    eta, gamma = _channel_pair(states[-2], states[-1], n)
-    gap = 0.0
-    if n > 1:
-        eta_prev, gamma_prev = _channel_pair(states[0], states[1], n - 1)
-        gap = _h1_dist(eta, eta_prev) + _h1_dist(gamma, gamma_prev)
-    return ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap)
+    """Extract (eta, gamma) at subsequence index n >= 1: the last pair of
+    ``channel_convergence_study(p, psi, n)``, whose Cauchy gap is taken
+    against the (n-1)-extraction (0.0 at n = 1)."""
+    return channel_convergence_study(p, psi, n).pairs[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelStudy:
-    """Per-n channel extractions with convergence series."""
+    """Per-n channel extractions, n = 1 .. n_max, with convergence series;
+    each Cauchy gap is stored once, in its pair."""
 
     pairs: tuple
-    ns: np.ndarray
-    cauchy_gaps: np.ndarray
     mass_defects: np.ndarray
     reconstruction_defects: np.ndarray
+
+    @property
+    def cauchy_gaps(self) -> np.ndarray:
+        return np.array([pair.cauchy_gap for pair in self.pairs])
 
 
 def _channel_times(n_max: int) -> np.ndarray:
@@ -165,44 +154,27 @@ def _channel_study(psi: ComplexField, states) -> ChannelStudy:
     """Pairs, Cauchy gaps and defects from the flow of psi at the ``_channel_times``.
 
     The reconstruction defect of the n-th pair is measured at the held-out
-    next endpoint,
-
-        |exp(it(dxx-V))psi - exp(it dxx)eta_n - exp(it(dxx-1))gamma_n|_L2
-        at t = 2*pi*(n+1):
-
-    at the pair's own extraction time the decomposition reproduces the
-    state identically by construction (an algebra check, not a convergence
-    probe), while at the held-out time the defect decays exactly when the
-    extractions converge.
+    next endpoint t = 2*pi*(n+1): at the pair's own extraction time the
+    decomposition reproduces the state identically by construction (an
+    algebra check, not a convergence probe), while at the held-out time the
+    defect decays exactly when the extractions converge.
     """
     # states[k - 2] at the endpoint time pi*k, k = 2 .. 2*n_max + 2 (holdout included)
-    n_max = (len(states) - 1) // 2
-    pairs = []
-    gaps, mass_defects, rec_defects = [], [], []
-    prev = None
-    for n in range(1, n_max + 1):
-        eta, gamma = _channel_pair(states[2 * n - 2], states[2 * n - 1], n)
-        gap = 0.0
-        if prev is not None:
-            gap = _h1_dist(eta, prev[0]) + _h1_dist(gamma, prev[1])
-        prev = (eta, gamma)
+    grid, pairs = states[0].grid, []
+    for n in range(1, (len(states) - 1) // 2 + 1):
+        # A_n and B_n, the free pullbacks of the states at 2*pi*n and (2n+1)*pi
+        a_n = evolve_free(states[2 * n - 2], -2.0 * np.pi * n).values
+        b_n = evolve_free(states[2 * n - 1], -(2.0 * n + 1.0) * np.pi).values
+        eta, gamma = ComplexField(grid, 0.5 * (a_n + b_n)), ComplexField(grid, 0.5 * (a_n - b_n))
+        gap = _h1_dist(eta, pairs[-1].eta) + _h1_dist(gamma, pairs[-1].gamma) if pairs else 0.0
         pairs.append(ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap))
-        gaps.append(gap)
-        mass_defects.append(pairs[-1].mass_partition_defect(psi))
-        t_hold = 2.0 * np.pi * (n + 1)
-        recon = (
-            states[2 * n].values
-            - evolve_free(eta, t_hold).values
-            - evolve_shifted(gamma, t_hold).values
-        )
-        rec_defects.append(l2_norm_sq(ComplexField(psi.grid, recon)) ** 0.5)
-
     return ChannelStudy(
         pairs=tuple(pairs),
-        ns=np.arange(1, n_max + 1),
-        cauchy_gaps=np.asarray(gaps),
-        mass_defects=np.asarray(mass_defects),
-        reconstruction_defects=np.asarray(rec_defects),
+        mass_defects=np.array([pair.mass_partition_defect(psi) for pair in pairs]),
+        reconstruction_defects=np.array([
+            _reconstruction_defect(states[2 * n], pair, 2.0 * np.pi * (n + 1))
+            for n, pair in enumerate(pairs, start=1)
+        ]),
     )
 
 
@@ -260,12 +232,7 @@ def _wave_states(
     """
     times = [float(T) for T in times]
     order = sorted(range(len(times)), key=times.__getitem__)
-    snapshots = []
-    for k in reversed(order):
-        idx = traj.snapshot_index(times[k])
-        if idx is None:
-            raise InsufficientDataError(f"no snapshot at T={times[k]}")
-        snapshots.append(traj.fields[idx].values)
+    snapshots = [traj.field_at(times[k]).values for k in reversed(order)]
     grid, t_max = traj.problem.grid, times[order[-1]]
     flow_times = np.asarray(flow_times, dtype=float)
     flows = [None] * len(flow_times)

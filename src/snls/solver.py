@@ -32,6 +32,7 @@ import numpy as np
 from . import diagnostics
 from .errors import GridMismatchError, InsufficientDataError, ParameterError
 from .grid import (
+    BOUNDARY_WARN_FRACTION,
     ComplexField,
     Grid,
     boundary_mass_fraction,
@@ -45,7 +46,6 @@ __all__ = ["NlsProblem", "Trajectory", "solve", "solve_stack", "phase_substep"]
 
 BLOWUP_FACTOR = 1e6
 SNAPSHOT_TOL = 1e-9  # a snapshot time matches a requested time this closely
-BOUNDARY_WARN_FRACTION = 0.01
 HIGH_MODE_WARN_FRACTION = 1e-8
 
 

@@ -120,6 +120,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="must be an integer"):
             parse_config_text("grid.n_points = 256.5\n").get_int("grid.n_points")
 
+    def test_non_finite_numbers_rejected(self):
+        text = f"a = inf\nb = nan\nc = -inf\nf = 1{'0' * 400}\nd = 0.5, inf\ne = 1.5, 2\n"
+        cfg = parse_config_text(text)
+        for key in ("a", "b", "c", "f"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                cfg.get_float(key)
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                cfg.get_float_list(key)
+        with pytest.raises(ConfigError, match="d must be finite"):
+            cfg.get_float_list("d")
+        assert cfg.get_float_list("e") == [1.5, 2.0]
+
     def test_render_is_canonical(self):
         cfg = parse_config_text("b = 2\na = 0.1\nc = true\n")
         assert cfg.render() == "a = 0.10000000000000001\nb = 2\nc = true\n"
@@ -857,3 +869,46 @@ class TestCli:
         for run_name in ("run_000", "run_001"):
             for name in ("summary.json", "series.csv"):
                 assert (outs[1] / run_name / name).read_bytes() == (outs[2] / run_name / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("solver.record_stride", "inf"), ("solver.t_final", "inf"), ("solver.alpha", "nan")],
+    )
+    def test_non_finite_config_number_exit_2(self, tmp_path, capsys, key, value):
+        # rejected where it enters: an infinite stride would record one
+        # nan-timed row and take no step, an infinite t_final overflow the
+        # record times, and a nan alpha pass the alpha > 4 check
+        lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+                 for ln in EVOLVE_CFG.splitlines()]
+        cfg = self._write_cfg(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{key} must be finite" in err["message"]
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(EVOLVE_CFG.encode() + b"note = caf\xe9\n")
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{cfg}:{EVOLVE_CFG.count(chr(10)) + 1}: not UTF-8" in err["message"]
+
+    @pytest.mark.parametrize("row", ["1,1.25", "1,1.25,2.25,3.0"])
+    def test_plot_data_ragged_row_exit_2(self, tmp_path, capsys, row):
+        series = tmp_path / "series.csv"
+        series.write_text(f"t,mass,energy\n0,1.5,2.5\n\n{row}\n")
+        assert main(["plot-data", str(series), "--columns", "t,energy"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{series}:4:" in err["message"]
+
+    def test_plot_data_non_utf8_series_exit_2(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_bytes(b"t,mass\n0,1.5\n1,\xff\n")
+        assert main(["plot-data", str(series), "--columns", "t,mass"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{series}:3: not UTF-8" in err["message"]

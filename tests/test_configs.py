@@ -9,7 +9,7 @@ import pytest
 
 import snls
 from snls import experiments
-from snls.config import parse_config, parse_config_text
+from snls.config import EXPERIMENTS, parse_config, parse_config_text
 from snls.propagators import SMALL_ROTATION
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -32,6 +32,11 @@ def test_shipped_config_parses_and_round_trips(path):
     again = parse_config_text(cfg.render())
     assert _typed(again.entries) == _typed(cfg.entries)
     assert again.render() == cfg.render()
+
+
+def test_experiment_names_match_the_runners():
+    # the CLI offers and validates config.EXPERIMENTS; run dispatches on _RUNNERS
+    assert sorted(EXPERIMENTS) == sorted(experiments._RUNNERS)
 
 
 def test_channels_config_premises():

@@ -90,6 +90,16 @@ class TestLinearChannelsProperties:
         )
         assert np.max(np.abs(state.values - recon)) < 1e-12
 
+    def test_extraction_is_the_studys_last_pair(self, barrier_channel, channel_grid):
+        psi = snls.gaussian_packet(channel_grid)
+        pair = snls.extract_linear_channels(barrier_channel, psi, 3)
+        study = snls.channel_convergence_study(barrier_channel, psi, 3)
+        last = study.pairs[-1]
+        assert pair.extraction_n == last.extraction_n == 3
+        assert np.array_equal(pair.eta.values, last.eta.values)
+        assert np.array_equal(pair.gamma.values, last.gamma.values)
+        assert pair.cauchy_gap == last.cauchy_gap == study.cauchy_gaps[-1]
+
     def test_cauchy_gap_via_study_matches_direct(self, channel_grid):
         # the diagonalized flow is exact in time and the splitting samples
         # each time on its step lattice, so on either path the whole sweep
