@@ -246,10 +246,10 @@ def morawetz_report(
     """Evaluate the identity on snapshots with t >= t_min (weight is singular
     at t = x = 0; the estimate integrates over { 1 < |t| }).
 
-    Requires at least three uniformly spaced selected snapshots.  They pass
-    through a window of three: each one's derivative and momentum bracket
-    are computed when the loop first needs them and dropped when it moves
-    past, so the report holds three snapshots' worth of them, not all.
+    Requires at least three uniformly spaced selected snapshots
+    (``_morawetz_times``).  They pass through ``_morawetz_window``, which
+    holds three at a time, so the ``morawetz`` run feeds it straight from
+    the solver's snapshot stream and never keeps a trajectory.
 
     ``vprime`` takes samples of dV/dx, used only in the standalone
     repulsive term; pass the closed-form derivative for family potentials
@@ -260,50 +260,52 @@ def morawetz_report(
     contribution to l_V cancels pointwise against the V-content of
     Im(conj(u) du/dt) before the spectral differentiation.
     """
+    times = _morawetz_times(traj.times, time_derivative, t_min)
+    values = (f.values for f in traj.fields[traj.times.size - times.size :])
+    return _morawetz_window(traj.problem, times, values, time_derivative, vprime)
+
+
+def _morawetz_times(times: np.ndarray, time_derivative: str, t_min: float) -> np.ndarray:
+    """The snapshot times t >= t_min that the identity is evaluated on, checked:
+    a known mode, at least three of them, uniformly spaced."""
     if time_derivative not in ("difference", "equation"):
         raise ParameterError("time_derivative must be 'difference' or 'equation'")
-    sel = np.nonzero(traj.times >= t_min - 1e-12)[0]
-    if sel.size < 3:
+    times = times[times >= t_min - 1e-12]
+    if times.size < 3:
         raise InsufficientDataError(
-            f"need >= 3 snapshots at t >= {t_min}, found {sel.size}"
+            f"need >= 3 snapshots at t >= {t_min}, found {times.size}"
         )
-    times = traj.times[sel]
     spacings = np.diff(times)
-    h = float(spacings[0])
-    if not np.allclose(spacings, h, rtol=1e-8, atol=1e-12):
+    if not np.allclose(spacings, spacings[0], rtol=1e-8, atol=1e-12):
         raise ParameterError("snapshots must be uniformly spaced for time differences")
+    return times
 
-    problem = traj.problem
-    grid = problem.grid
-    x = grid.x
-    dx = grid.dx
-    V = problem.v
-    alpha = problem.alpha
+
+def _morawetz_window(problem, times, values, time_derivative, vprime) -> MorawetzReport:
+    """The identity on the raw snapshot arrays ``values`` at the checked ``times``.
+
+    The snapshots pass through a window of three: each one's derivative and
+    momentum bracket are computed when the loop first needs them and
+    dropped when it moves past, and each interior snapshot's terms are
+    reduced to numbers before the next one is read.
+    """
+    h = float(times[1] - times[0])
+    x, dx, xi = problem.grid.x, problem.grid.dx, problem.grid.wavenumbers
+    V, alpha = problem.v, problem.alpha
     vprime = np.gradient(V, dx) if vprime is None else np.asarray(vprime, dtype=float)
     if vprime.shape != V.shape:
         raise ParameterError("vprime must be sampled on the grid")
+    nl_weight = 0.0 if problem.linear else 1.0
 
-    xi = grid.wavenumbers
-    values = [traj.fields[i].values for i in sel]
-
-    def derivative_and_bracket(k):
+    def derivative_and_bracket(u, t):
         """du and a*Im(conj(u)*du) - t*|u|^2/lambda, the time-differenced bracket."""
-        u, t = values[k], times[k]
         du = _derivative(u, xi)
         lam = np.sqrt(t * t + x * x)
         a = -2.0 * x / lam
         return du, a * np.imag(np.conj(u) * du) - t * (np.abs(u) ** 2) / lam
 
-    out_density, out_residual, out_repulsive = [], [], []
-    min_repulsive = np.inf
-    nl_weight = 0.0 if problem.linear else 1.0
-
-    _, bracket_prev = derivative_and_bracket(0)
-    du, bracket = derivative_and_bracket(1)
-    for i in range(1, len(sel) - 1):
-        du_next, bracket_next = derivative_and_bracket(i + 1)
-        t = float(times[i])
-        u = values[i]
+    def terms(t, u_prev, u, u_next, du, dt_bracket):
+        """Density, residual L1 norm, repulsive term and its least value at t."""
         dens = np.abs(u) ** 2
         dens_nl = dens ** ((alpha + 2.0) / 2.0)
 
@@ -315,7 +317,7 @@ def morawetz_report(
         re_d2g = 3.0 * t * t * (t * t - 4.0 * x * x) / lam**7
 
         if time_derivative == "difference":
-            dtu = (values[i + 1] - values[i - 1]) / (2.0 * h)
+            dtu = (u_next - u_prev) / (2.0 * h)
         else:
             d2u = _derivative(u, xi, order=2)
             dtu = 1j * (d2u - V * u - nl_weight * dens ** (alpha / 2.0) * u)
@@ -324,46 +326,42 @@ def morawetz_report(
         # V-content of Im(conj(u) du/dt), leaving a smooth flux; keep both
         # inside one spectrally differentiated expression so that the merely
         # C^1 steplike potential never meets the derivative uncancelled.
-        lv = 0.5 * (
-            np.imag(np.conj(u) * dtu)
-            + np.abs(du) ** 2
-            + nl_weight * (2.0 / (alpha + 2.0)) * dens_nl
-            + V * dens
-        )
+        lv = 0.5 * (np.imag(np.conj(u) * dtu) + np.abs(du) ** 2
+                    + nl_weight * (2.0 / (alpha + 2.0)) * dens_nl + V * dens)
         flux = np.real(du * np.conj(m)) - a * lv - re_dg * dens / 2.0
         dflux = _derivative(flux, xi).real
-
-        dt_bracket = (bracket_next - bracket_prev) / (2.0 * h)
 
         big_g = nl_weight * (alpha / (alpha + 2.0)) * dens_nl
         term_density = t * t * big_g / lam**3
         term_sq = np.abs(2j * t * du + x * u) ** 2 / (2.0 * lam**3)
         term_repulsive = -x * vprime * dens / lam
 
-        residual = (
-            0.5 * dt_bracket
-            + dflux
-            + term_density
-            + 0.5 * dens * re_d2g
-            + term_sq
-            + term_repulsive
-        )
+        residual = (0.5 * dt_bracket + dflux + term_density + 0.5 * dens * re_d2g + term_sq
+                    + term_repulsive)
+        return (float(np.sum(t * t * dens_nl / lam**3) * dx), float(np.sum(np.abs(residual)) * dx),
+                float(np.sum(term_repulsive) * dx), float(term_repulsive.min()))
 
-        out_density.append(float(np.sum(t * t * dens_nl / lam**3) * dx))
-        out_residual.append(float(np.sum(np.abs(residual)) * dx))
-        out_repulsive.append(float(np.sum(term_repulsive) * dx))
-        min_repulsive = min(min_repulsive, float(term_repulsive.min()))
-        bracket_prev, du, bracket = bracket, du_next, bracket_next
+    values = iter(values)
+    u_prev, u = next(values), next(values)
+    _, bracket_prev = derivative_and_bracket(u_prev, times[0])
+    du, bracket = derivative_and_bracket(u, times[1])
+    rows = []
+    for t, t_next, u_next in zip(times[1:-1], times[2:], values):
+        du_next, bracket_next = derivative_and_bracket(u_next, t_next)
+        dt_bracket = (bracket_next - bracket_prev) / (2.0 * h)
+        rows.append(terms(float(t), u_prev, u, u_next, du, dt_bracket))
+        u_prev, u, du = u, u_next, du_next
+        bracket_prev, bracket = bracket, bracket_next
 
     out_t = times[1:-1]
-    out_density = np.asarray(out_density)
+    out_density, out_residual, out_repulsive, least = map(np.array, zip(*rows))
     integral_value = float(np.trapezoid(out_density, out_t)) if out_t.size > 1 else 0.0
     return MorawetzReport(
         times=out_t,
         density_series=out_density,
-        residual_series=np.asarray(out_residual),
-        repulsive_series=np.asarray(out_repulsive),
+        residual_series=out_residual,
+        repulsive_series=out_repulsive,
         integral_value=integral_value,
-        min_repulsive_density=float(min_repulsive),
+        min_repulsive_density=float(least.min()),
         time_derivative=time_derivative,
     )

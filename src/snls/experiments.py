@@ -26,7 +26,7 @@ from .potentials import (
     load_samples_csv,
 )
 from .propagators import PerturbedPropagator, free_decay_constant, substep_sizes
-from .solver import NlsProblem, solve, solve_stack
+from .solver import NlsProblem, _monitor_warnings, _monitors, _snapshots, solve, solve_stack
 
 __all__ = ["run", "emit_plot_data"]
 
@@ -225,12 +225,7 @@ def _write_evolve(cfg: RunConfig, outdir: Path, traj) -> dict:
         "warnings": list(traj.warnings),
     }
     header = ["t", "mass", "energy", "sup_norm", "boundary_mass_fraction", "high_mode_fraction"]
-    rows = [
-        [t, m, e, s, b, h]
-        for t, m, e, s, b, h in zip(
-            traj.times, traj.mass, traj.energy, traj.sup, traj.boundary_fraction, traj.high_mode
-        )
-    ]
+    rows = zip(traj.times, traj.mass, traj.energy, traj.sup, traj.boundary_fraction, traj.high_mode)
     _write_outputs(cfg, outdir, summary, header, rows)
     if cfg.get_bool("checkpoint.save", False):
         for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
@@ -278,8 +273,7 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
         "within_free_bound": bool(np.max(ratios) <= free_const * (1.0 + 1e-3)),
         "bounded_by_one": bool(np.max(ratios) <= 1.0),
     }
-    rows = [[t, r] for t, r in zip(times, ratios)]
-    _write_outputs(cfg, outdir, summary, ["t", "decay_ratio"], rows)
+    _write_outputs(cfg, outdir, summary, ["t", "decay_ratio"], zip(times, ratios))
     return summary
 
 
@@ -363,27 +357,31 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
     v = build_potential(spec, grid)
     u0 = _build_initial(cfg, grid)
     problem = _build_problem(cfg, grid, v, u0)
-    traj = solve(problem)
     t_min = cfg.get_float("morawetz.t_min", 1.0)
-    report = diagnostics.morawetz_report(
-        traj, t_min=t_min, vprime=build_potential_derivative(spec, grid)
+    times = diagnostics._morawetz_times(problem.record_times, "difference", t_min)
+    # the snapshots stream through the report's window as the solve makes
+    # them; only their boundary and high-mode fractions are kept
+    monitors = []
+
+    def selected():
+        for t, (f,) in zip(problem.record_times, _snapshots([problem])):
+            monitors.append(_monitors(problem, f)[3:])
+            if t >= times[0]:
+                yield f.values
+
+    report = diagnostics._morawetz_window(
+        problem, times, selected(), "difference", build_potential_derivative(spec, grid)
     )
+    _monitor_warnings(problem, *map(np.array, zip(*monitors)))
 
     increments = []
     t_hi = 2.0 * t_min
     while t_hi <= report.times[-1] + 1e-9:
-        lo, hi = t_hi / 2.0, t_hi
-        mask = (report.times >= lo - 1e-9) & (report.times <= hi + 1e-9)
+        mask = (report.times >= t_hi / 2.0 - 1e-9) & (report.times <= t_hi + 1e-9)
         if np.count_nonzero(mask) > 1:
-            increments.append(
-                float(np.trapezoid(report.density_series[mask], report.times[mask]))
-            )
+            increments.append(float(np.trapezoid(report.density_series[mask], report.times[mask])))
         t_hi *= 2.0
-    ratios = [
-        increments[i + 1] / increments[i]
-        for i in range(len(increments) - 1)
-        if increments[i] > 0
-    ]
+    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > 0]
     summary = {
         "integral_value": report.integral_value,
         "max_residual_l1": float(np.max(report.residual_series)),
@@ -394,12 +392,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
         "saturates": bool(all(r < 0.5 for r in ratios)) if ratios else False,
     }
     header = ["t", "density", "residual_l1", "repulsive_term"]
-    rows = [
-        [t, d, r, rp]
-        for t, d, r, rp in zip(
-            report.times, report.density_series, report.residual_series, report.repulsive_series
-        )
-    ]
+    rows = zip(report.times, report.density_series, report.residual_series, report.repulsive_series)
     _write_outputs(cfg, outdir, summary, header, rows)
     return summary
 

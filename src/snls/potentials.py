@@ -24,12 +24,14 @@ dynamically by ``diagnostics.decay_ratio``.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import _read_text
 from .errors import ParameterError
 from .grid import Grid
 
@@ -138,22 +140,22 @@ def load_samples_csv(path) -> PotentialSpec:
     """Read a two-column (x, V) CSV into a custom_samples spec.
 
     A row is two numbers, optionally followed by one empty cell (a trailing
-    comma); any other row raises ParameterError naming the file and line.
+    comma); any other row raises ParameterError naming the file and line,
+    and text that is not UTF-8 a ConfigError naming its line.
     """
     xs, vs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                if len(row) > 3 or (len(row) == 3 and row[2].strip()):
-                    raise ValueError("extra cells")
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                msg = f"{path} line {reader.line_num}: expected two numbers x, V, got {row!r}"
-                raise ParameterError(msg) from exc
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            if len(row) > 3 or (len(row) == 3 and row[2].strip()):
+                raise ValueError("extra cells")
+            xs.append(float(row[0]))
+            vs.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            msg = f"{path} line {reader.line_num}: expected two numbers x, V, got {row!r}"
+            raise ParameterError(msg) from exc
     return PotentialSpec(
         family=PotentialFamily.CUSTOM_SAMPLES,
         custom_x=np.asarray(xs),

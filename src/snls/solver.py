@@ -14,18 +14,23 @@ The step size is fixed (no adaptivity) so a given problem reproduces
 bit-for-bit; requested snapshot times are reached exactly by shrinking the
 final substep of each segment.  Problems that share grid, V, dt, record
 times and linear mode run as one (B, N) stack (``solve_stack``), each row
-bit for bit its own solve; ``solve`` is the one-row case.  The blow-up
-guard is per row: it aborts the stack if a row's sup norm grows by 1e6
-over that row's initial value or turns NaN (|u|^alpha overflowed), which
-for this defocusing equation can only mean the step size is too large, and
-the error names the row.
+bit for bit its own solve; ``solve`` is the one-row case.  Both collect
+``_snapshots``, which builds each record time's fields as the kernel
+reaches it, so a caller that needs one snapshot at a time (the
+``morawetz`` run) can stream them instead, computing the per-snapshot
+``_monitors`` and their ``_monitor_warnings`` as a Trajectory would.
+
+The blow-up guard is per row: it aborts the stack if a row's sup norm
+grows by 1e6 over that row's initial value or turns NaN (|u|^alpha
+overflowed), which for this defocusing equation can only mean the step
+size is too large, and the error names the row.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -168,6 +173,13 @@ def solve_stack(problems: Sequence[NlsProblem]) -> list[Trajectory]:
     differ by row.  Each row is bit for bit its own one-problem solve, and
     a guard that trips in any row raises for the whole stack.
     """
+    snaps = list(_snapshots(problems))
+    return [_trajectory(p, fields) for p, fields in zip(problems, zip(*snaps))]
+
+
+def _snapshots(problems: Sequence[NlsProblem]) -> Iterator[list]:
+    """Each record time's ComplexField of every row, u0 first, built when ``strang``
+    reaches it; nothing is kept after the yield."""
     first = problems[0]
     if not all(first.shares_flow(p) for p in problems[1:]):
         raise ParameterError("stacked problems must share grid, v, dt, record_times and linear")
@@ -182,29 +194,22 @@ def solve_stack(problems: Sequence[NlsProblem]) -> list[Trajectory]:
     kinetic = multiplier_cache(grid.wavenumbers**2, first.dt)
     phase = local_phase(first.v, alpha, first.dt)
     states = strang(u, np.diff(first.record_times), first.dt, kinetic, phase, guard)
-    # |u|^alpha overflowing into NaN is the guard's to report, not numpy's
-    with np.errstate(over="ignore", invalid="ignore"):
-        snaps = [[p.u0 for p in problems]] + [
-            [ComplexField(grid, row) for row in state.reshape(len(problems), -1)]
-            for state in states
-        ]
-    return [_trajectory(p, list(fields)) for p, fields in zip(problems, zip(*snaps))]
+    yield [p.u0 for p in problems]
+    for _ in first.record_times[1:]:
+        # |u|^alpha overflowing into NaN is the guard's to report, not numpy's
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = next(states)
+        yield [ComplexField(grid, row) for row in state.reshape(len(problems), -1)]
 
 
-def _trajectory(problem: NlsProblem, snap_fields: list) -> Trajectory:
-    """The snapshots of one solved problem with their diagnostics and warnings."""
-    v = problem.v
-    alpha = problem.alpha
-    linear = problem.linear
-    times = problem.record_times.copy()
-    mass = np.array([l2_norm_sq(f) for f in snap_fields])
-    energy = np.array(
-        [diagnostics.energy(f, v, alpha, linear=linear) for f in snap_fields]
-    )
-    sup = np.array([sup_norm(f) for f in snap_fields])
-    boundary = np.array([boundary_mass_fraction(f) for f in snap_fields])
-    high = np.array([high_mode_fraction(f) for f in snap_fields])
+def _monitors(problem: NlsProblem, f: ComplexField) -> tuple:
+    """Mass, energy, sup norm, boundary and high-mode fractions of one snapshot."""
+    energy = diagnostics.energy(f, problem.v, problem.alpha, linear=problem.linear)
+    return l2_norm_sq(f), energy, sup_norm(f), boundary_mass_fraction(f), high_mode_fraction(f)
 
+
+def _monitor_warnings(problem: NlsProblem, boundary: np.ndarray, high: np.ndarray) -> tuple:
+    """Warn of wrap-around, lost resolution and a permissive power; returns the notes."""
     notes = []
     if np.any(boundary > BOUNDARY_WARN_FRACTION):
         notes.append(
@@ -216,20 +221,20 @@ def _trajectory(problem: NlsProblem, snap_fields: list) -> Trajectory:
             "resolution: high-third spectral energy fraction exceeded "
             f"{HIGH_MODE_WARN_FRACTION:.0e} (max {high.max():.3e})"
         )
-    if problem.permissive and alpha <= 4:
-        notes.append(f"permissive run: alpha={alpha} is outside the supercritical range")
+    if problem.permissive and problem.alpha <= 4:
+        notes.append(f"permissive run: alpha={problem.alpha} is outside the supercritical range")
     for note in notes:
-        warnings.warn(note, stacklevel=3)
+        warnings.warn(note, stacklevel=4)
+    return tuple(notes)
 
-    times.setflags(write=False)
+
+def _trajectory(problem: NlsProblem, snap_fields: tuple) -> Trajectory:
+    """The snapshots of one solved problem with their diagnostics and warnings."""
+    mass, energy, sup, boundary, high = map(
+        np.array, zip(*(_monitors(problem, f) for f in snap_fields))
+    )
     return Trajectory(
-        problem=problem,
-        times=times,
-        fields=tuple(snap_fields),
-        mass=mass,
-        energy=energy,
-        sup=sup,
-        boundary_fraction=boundary,
-        high_mode=high,
-        warnings=tuple(notes),
+        problem=problem, times=problem.record_times, fields=snap_fields, mass=mass, energy=energy,
+        sup=sup, boundary_fraction=boundary, high_mode=high,
+        warnings=_monitor_warnings(problem, boundary, high),
     )

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 
 import snls
 from snls.checkpoint import read_checkpoint, write_checkpoint
-from snls import propagators
+from snls import experiments, propagators, solver
 from snls.cli import main
 from snls.config import parse_config_text
-from snls.errors import ConfigError, ParameterError
+from snls.errors import ConfigError, InvalidFieldError, ParameterError
 from snls.experiments import _write_outputs, emit_plot_data, run
+from snls.potentials import build_potential_derivative
 from snls.propagators import substep_sizes
 from snls.solver import solve_stack
 
@@ -207,6 +209,22 @@ checkpoint.save = true
 """
 
 
+# 161 snapshots of 512 points, 1600 steps
+MORAWETZ_CFG = """
+experiment = morawetz
+grid.n_points = 512
+grid.length = 64.0
+potential.family = gaussian_matched_step
+potential.height = 2.0
+potential.width = 1.0
+solver.alpha = 5.0
+solver.dt = 0.01
+solver.t_final = 16.0
+solver.record_stride = 0.1
+initial.kind = gaussian
+"""
+
+
 class TestExperiments:
     def test_evolve_determinism_byte_identical(self, tmp_path):
         cfg = parse_config_text(EVOLVE_CFG)
@@ -334,6 +352,58 @@ class TestExperiments:
         assert summary["repulsive_series_nonnegative"] is True
         assert summary["integral_value"] > 0
         assert len(summary["increment_ratios"]) == 1  # doubling [1,2] -> [2,4]
+
+    def test_morawetz_run_is_the_report_on_solve(self, tmp_path):
+        cfg = parse_config_text(MORAWETZ_CFG)
+        run(cfg, output_dir=tmp_path / "mor")
+        problem = experiments._evolve_problem(cfg)
+        vp = build_potential_derivative(experiments._potential_spec(cfg), problem.grid)
+        report = snls.morawetz_report(snls.solve(problem), vprime=vp)
+        # 17 significant digits print a float64 exactly
+        rows = np.loadtxt(tmp_path / "mor" / "series.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == report.times.tolist()
+        assert rows[:, 1].tolist() == report.density_series.tolist()
+        assert rows[:, 2].tolist() == report.residual_series.tolist()
+        assert rows[:, 3].tolist() == report.repulsive_series.tolist()
+
+    def test_morawetz_run_holds_a_window_not_the_trajectory(self, tmp_path):
+        # a run that kept its 161 snapshots would hold 161 snapshot sizes.  The
+        # streamed run holds about 22 before the report's temporaries: the
+        # kernel's state and scratch (8), the problem (4) and the window's
+        # snapshots, derivatives and brackets.  The first run takes the
+        # imports and caches that a run loads once.
+        cfg = parse_config_text(MORAWETZ_CFG)
+        run(cfg, output_dir=tmp_path / "first")
+        tracemalloc.start()
+        try:
+            run(cfg, output_dir=tmp_path / "mor")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 512 * 16
+
+    def test_morawetz_run_warns_as_solve_does(self, tmp_path):
+        cfg = parse_config_text(MORAWETZ_CFG.replace("grid.length = 64.0", "grid.length = 16.0"))
+        with pytest.warns(UserWarning) as streamed:
+            run(cfg, output_dir=tmp_path / "mor")
+        with pytest.warns(UserWarning) as stored:
+            snls.solve(experiments._evolve_problem(cfg))
+        notes = [str(w.message) for w in streamed]
+        assert any(note.startswith("wrap-around:") for note in notes)
+        assert notes == [str(w.message) for w in stored]
+
+    def test_morawetz_run_rejects_a_nan_snapshot(self, tmp_path, monkeypatch):
+        kernel = solver.strang
+
+        def poisoned(u, spans, *args, **kwargs):
+            for k, state in enumerate(kernel(u, spans, *args, **kwargs)):
+                if k == 20:
+                    state[7] = np.nan
+                yield state
+
+        monkeypatch.setattr(solver, "strang", poisoned)
+        with pytest.raises(InvalidFieldError):
+            run(parse_config_text(MORAWETZ_CFG), output_dir=tmp_path / "mor")
 
     def test_translation_gap_smoke(self, tmp_path):
         cfg = parse_config_text(
@@ -570,6 +640,41 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert f"{csv_path} line 1" in err["message"]
+
+    def test_non_utf8_potential_csv_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "potential.csv"
+        csv_path.write_bytes(b"-10.0,0.0\n0.0,0.5\xff\n10.0,1.0\n")
+        cfg = self._write_cfg(
+            tmp_path,
+            "experiment = check_potential\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"potential.family = custom_samples\npotential.csv = {csv_path}\n",
+        )
+        code = main(["check_potential", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{csv_path}:2:" in err["message"]
+
+    @pytest.mark.parametrize("times, error", [
+        ("solver.record_stride = 1.0", "InsufficientDataError"),
+        ("solver.record_times = 0.0, 1.0, 1.1, 1.3, 2.0", "ParameterError"),
+    ])
+    def test_morawetz_record_times_checked_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, times, error
+    ):
+        entered = []
+
+        def kernel(*args, **kwargs):
+            entered.append(args)
+            raise AssertionError("the solver kernel ran")
+
+        monkeypatch.setattr(solver, "strang", kernel)
+        text = MORAWETZ_CFG.replace("solver.t_final = 16.0", "solver.t_final = 2.0")
+        cfg = self._write_cfg(tmp_path, text.replace("solver.record_stride = 0.1", times))
+        code = main(["morawetz", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not entered
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         code = main(["evolve", "--config", str(tmp_path / "nope.cfg")])

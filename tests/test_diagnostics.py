@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import snls
+from snls import diagnostics, solver
 from snls.errors import InsufficientDataError, ParameterError
 from snls.potentials import (
     PotentialFamily,
@@ -337,6 +338,24 @@ class TestMorawetz:
             assert one.density_series[0] == full.density_series[k]
             assert one.residual_series[0] == full.residual_series[k]
             assert one.repulsive_series[0] == full.repulsive_series[k]
+
+
+    @pytest.mark.parametrize("mode", ["difference", "equation"])
+    def test_streamed_window_is_the_report_on_solve(self, dyadic_trajectory, mode):
+        # the window fed from the solver's snapshot stream, as the morawetz
+        # runner feeds it, against the report on the stored trajectory
+        traj, vp = dyadic_trajectory
+        problem = traj.problem
+        times = diagnostics._morawetz_times(problem.record_times, mode, 0.5)
+        skip = problem.record_times.size - times.size
+        stream = (f.values for k, (f,) in enumerate(solver._snapshots([problem])) if k >= skip)
+        streamed = diagnostics._morawetz_window(problem, times, stream, mode, vp)
+        full = snls.morawetz_report(traj, time_derivative=mode, t_min=0.5, vprime=vp)
+        assert streamed.times.tolist() == full.times.tolist()
+        assert streamed.density_series.tolist() == full.density_series.tolist()
+        assert streamed.residual_series.tolist() == full.residual_series.tolist()
+        assert streamed.repulsive_series.tolist() == full.repulsive_series.tolist()
+        assert streamed.integral_value == full.integral_value
 
 
 class TestSupBound:
