@@ -56,31 +56,22 @@ def _fail(kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.command == "plot-data":
-        try:
+    try:
+        if args.command == "plot-data":
             text = emit_plot_data(args.series, [c.strip() for c in args.columns.split(",")])
-        except ConfigError as exc:
-            return _fail("ConfigError", str(exc), EXIT_CONFIG)
-        except OSError as exc:
-            return _fail("IOError", str(exc), EXIT_IO)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            try:
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
                 with open(args.out, "w") as fh:
                     fh.write(text)
-            except OSError as exc:
-                return _fail("IOError", str(exc), EXIT_IO)
-        return EXIT_OK
-
-    try:
-        cfg = parse_config(args.config)
-        if cfg.experiment() != args.command:
-            raise ConfigError(
-                f"config declares experiment={cfg.experiment()!r} "
-                f"but the command line asked for {args.command!r}"
-            )
-        run(cfg, output_dir=args.output_dir, threads=args.threads)
+        else:
+            cfg = parse_config(args.config)
+            if cfg.experiment() != args.command:
+                raise ConfigError(
+                    f"config declares experiment={cfg.experiment()!r} "
+                    f"but the command line asked for {args.command!r}"
+                )
+            run(cfg, output_dir=args.output_dir, threads=args.threads)
     except ConfigError as exc:
         return _fail("ConfigError", str(exc), EXIT_CONFIG)
     except InstabilityError as exc:

@@ -13,7 +13,9 @@ h >= a_+ >= a_- >= 0 it is nonnegative, bounded, has the right limits,
 decays to them faster than any power, is repulsive (x*V'(x) <= 0) and has
 V' -> 0 at infinity, so it satisfies every structural hypothesis of the
 scattering theory in closed form and makes an analytically certified test
-fixture.
+fixture.  The logistic, flat and custom-sample families complete the set;
+one family switch gives V and dV/dx together, the latter in closed form
+or, for custom samples, by centered differences.
 
 `check_hypotheses` verifies those properties on sampled values with
 explicit finite tolerances.  It deliberately says nothing about the
@@ -72,17 +74,17 @@ class PotentialSpec:
     def __post_init__(self):
         fam = PotentialFamily(self.family)
         object.__setattr__(self, "family", fam)
-        if fam is PotentialFamily.GAUSSIAN_MATCHED_STEP:
-            if self.width <= 0:
-                raise ParameterError("width must be > 0")
-            if self.height < self.a_plus or self.height < self.a_minus:
-                raise ParameterError(
-                    "gaussian_matched_step needs height >= max(a_minus, a_plus); "
-                    f"got h={self.height}, a-={self.a_minus}, a+={self.a_plus} "
-                    "(repulsivity would fail on the lower side)"
-                )
-        if fam is PotentialFamily.LOGISTIC_STEP and self.width <= 0:
+        analytic = (PotentialFamily.GAUSSIAN_MATCHED_STEP, PotentialFamily.LOGISTIC_STEP)
+        if fam in analytic and self.width <= 0:
             raise ParameterError("width must be > 0")
+        if fam is PotentialFamily.GAUSSIAN_MATCHED_STEP and (
+            self.height < self.a_plus or self.height < self.a_minus
+        ):
+            raise ParameterError(
+                "gaussian_matched_step needs height >= max(a_minus, a_plus); "
+                f"got h={self.height}, a-={self.a_minus}, a+={self.a_plus} "
+                "(repulsivity would fail on the lower side)"
+            )
         if fam is PotentialFamily.CUSTOM_SAMPLES:
             if self.custom_x is None or self.custom_v is None:
                 raise ParameterError("custom_samples requires custom_x and custom_v")
@@ -98,42 +100,34 @@ class PotentialSpec:
             object.__setattr__(self, "custom_v", v)
 
 
+def _potential_pair(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """V and dV/dx at the grid points: closed forms for the analytic families,
+    centered differences (one-sided at the ends) of the samples for custom ones."""
+    x, fam, w = grid.x, spec.family, spec.width
+    if fam is PotentialFamily.FLAT:
+        return np.full(grid.n_points, float(spec.a_minus)), np.zeros(grid.n_points)
+    if fam is PotentialFamily.GAUSSIAN_MATCHED_STEP:
+        bump = np.exp(-(x / w) ** 2)
+        core = (-2.0 * x / w**2) * bump
+        rise_left, rise_right = spec.height - spec.a_minus, spec.height - spec.a_plus
+        v = np.where(x < 0, spec.a_minus + rise_left * bump, spec.a_plus + rise_right * bump)
+        return v, np.where(x < 0, rise_left * core, rise_right * core)
+    if fam is PotentialFamily.LOGISTIC_STEP:
+        step, denom = spec.a_plus - spec.a_minus, 1.0 + np.exp(-x / w)
+        sig = 1.0 / denom
+        return spec.a_minus + step / denom, step / w * sig * (1.0 - sig)
+    v = np.interp(x, spec.custom_x, spec.custom_v)
+    return v, np.gradient(v, grid.dx)
+
+
 def build_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Sample the potential family at the grid points."""
-    x = grid.x
-    fam = spec.family
-    if fam is PotentialFamily.FLAT:
-        return np.full(grid.n_points, float(spec.a_minus))
-    if fam is PotentialFamily.GAUSSIAN_MATCHED_STEP:
-        bump = np.exp(-(x / spec.width) ** 2)
-        left = spec.a_minus + (spec.height - spec.a_minus) * bump
-        right = spec.a_plus + (spec.height - spec.a_plus) * bump
-        return np.where(x < 0, left, right)
-    if fam is PotentialFamily.LOGISTIC_STEP:
-        return spec.a_minus + (spec.a_plus - spec.a_minus) / (
-            1.0 + np.exp(-x / spec.width)
-        )
-    if fam is PotentialFamily.CUSTOM_SAMPLES:
-        return np.interp(x, spec.custom_x, spec.custom_v)
-    raise ParameterError(f"unknown family {fam!r}")
+    return _potential_pair(spec, grid)[0]
 
 
 def build_potential_derivative(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Samples of dV/dx: closed form for the analytic families, centered
-    differences (one-sided at the ends) for custom samples."""
-    x = grid.x
-    fam = spec.family
-    if fam is PotentialFamily.FLAT:
-        return np.zeros(grid.n_points)
-    if fam is PotentialFamily.GAUSSIAN_MATCHED_STEP:
-        core = (-2.0 * x / spec.width**2) * np.exp(-(x / spec.width) ** 2)
-        left = (spec.height - spec.a_minus) * core
-        right = (spec.height - spec.a_plus) * core
-        return np.where(x < 0, left, right)
-    if fam is PotentialFamily.LOGISTIC_STEP:
-        sig = 1.0 / (1.0 + np.exp(-x / spec.width))
-        return (spec.a_plus - spec.a_minus) / spec.width * sig * (1.0 - sig)
-    return np.gradient(build_potential(spec, grid), grid.dx)
+    """Samples of dV/dx, as :func:`_potential_pair` takes them."""
+    return _potential_pair(spec, grid)[1]
 
 
 def load_samples_csv(path) -> PotentialSpec:

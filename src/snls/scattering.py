@@ -301,9 +301,7 @@ def translation_flow_gap(
     times = np.linspace(t0, t1, n_samples)
     norms = np.empty(n_samples)
     for k, (t, cur) in enumerate(zip(times, p.evolve_through(shifted, times))):
-        ref = reference(shifted, t)
-        diff = ComplexField(psi.grid, cur.values - ref.values)
-        norms[k] = lp_norm(diff, ex.r)
+        norms[k] = _lp_rows(cur.values - reference(shifted, t).values, ex.r, psi.grid.dx)
     return float(np.trapezoid(norms**ex.p, times) ** (1.0 / ex.p))
 
 
@@ -384,6 +382,8 @@ def greedy_profile_decomposition(
         raise ParameterError("q_exponent must lie in (2, inf)")
     if j_max < 1:
         raise ParameterError("j_max must be >= 1")
+    if not (t_step > 0 and 0 <= t_window < np.inf):
+        raise ParameterError(f"need t_step > 0 and 0 <= t_window < inf; got {t_step}, {t_window}")
     grid = fields[0].grid
     for f in fields:
         if not f.grid.same_as(grid):
@@ -401,8 +401,9 @@ def greedy_profile_decomposition(
         (-t_step * np.arange(1, n_t + 1), np.greater_equal),
     )
 
-    profiles = []
+    profiles, h1v_terms, lq_terms = [], [], []
     concentration_level = 0.0
+    q = q_exponent
 
     for _ in range(j_max):
         if np.linalg.norm(residue) * grid.dx**0.5 * (1.0 + BOUND_MARGIN) < stop_level:
@@ -423,12 +424,10 @@ def greedy_profile_decomposition(
         lam_est = l2_norm_sq(ComplexField(grid, first_pass)) ** 0.5
         radius = float(np.clip(lam_est ** (-beta) if lam_est > 0 else 1.0, 0.5, 8.0))
 
-        x_shifts = np.empty(k_ens)
-        recentred = np.empty((k_ens, grid.n_points), dtype=np.complex128)
-        for n, state in enumerate(best):
-            smooth = np.abs(_lowpass(state, grid, radius))
-            x_shifts[n] = grid.x[int(np.argmax(smooth))]
-            recentred[n] = translate(ComplexField(grid, state), -x_shifts[n]).values
+        # recentre each member at its smoothed peak x_n: ``translate``'s phase for -x_n
+        x_shifts = grid.x[np.argmax(np.abs(_lowpass(best, grid, radius)), axis=-1)]
+        phase = np.exp(-1j * grid.wavenumbers * -x_shifts[:, None])
+        recentred = np.fft.ifft(phase * np.fft.fft(best))
 
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
@@ -444,6 +443,9 @@ def greedy_profile_decomposition(
             placed = translate(candidate, x_shifts[n])
             removed = p.evolve(placed, -t_shifts[n])
             residue[n] -= removed.values
+        # the defects are taken at the last member, whose placement the loop ends on
+        h1v_terms.append(h1v_norm_sq(placed, p.v))
+        lq_terms.append(lp_norm(removed, q) ** q)
 
     remainder = ComplexField(grid, residue[-1])
     last = fields[-1]
@@ -452,16 +454,10 @@ def greedy_profile_decomposition(
         - sum(l2_norm_sq(pr.psi) for pr in profiles)
         - l2_norm_sq(remainder)
     )
-    h1v_defect = (
-        h1v_norm_sq(last, p.v)
-        - sum(h1v_norm_sq(translate(pr.psi, pr.x_shifts[-1]), p.v) for pr in profiles)
-        - h1v_norm_sq(remainder, p.v)
-    )
-    q = q_exponent
+    h1v_defect = h1v_norm_sq(last, p.v) - sum(h1v_terms) - h1v_norm_sq(remainder, p.v)
     lq_defect = lp_norm(last, q) ** q - lp_norm(remainder, q) ** q
-    for pr in profiles:
-        placed = p.evolve(translate(pr.psi, pr.x_shifts[-1]), -pr.t_shifts[-1])
-        lq_defect -= lp_norm(placed, q) ** q
+    for term in lq_terms:
+        lq_defect -= term
 
     return ProfileSet(
         profiles=tuple(profiles),

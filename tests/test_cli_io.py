@@ -234,6 +234,35 @@ class TestExperiments:
         for name in ("summary.json", "series.csv", "checkpoint_0002.snls"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize("experiment, settings", [
+        ("decay", "propagator.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
+        ("linear_channels", "propagator.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
+        ("channels", "solver.dt = 0.03125\npropagator.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
+         "\nchannels.n_max = 1\ninitial.kind = gaussian\ninitial.amplitude = 0.05"),
+        ("morawetz", "solver.dt = 0.01\nsolver.t_final = 1.0\nsolver.record_stride = 0.1"
+         "\nmorawetz.t_min = 0.5\ninitial.kind = gaussian"),
+        ("profiles", "propagator.dt = 0.05\nprofiles.fixture = two_bump\nprofiles.t_window = 1.0"),
+        ("translation_gap", "propagator.dt = 0.05\ntranslation.shifts = -4.0, -8.0"
+         "\ntranslation.t_span = 0.0, 1.0\ninitial.kind = gaussian"),
+        ("check_potential", ""),
+        ("sweep", "solver.dt = 0.01\nsolver.t_final = 0.5\nsolver.record_stride = 0.25"
+         "\ninitial.kind = gaussian\nsweep.experiment = evolve\nsweep.parameter = solver.alpha"
+         "\nsweep.values = 4.5, 5.0"),
+    ])
+    def test_every_experiment_is_byte_identical(self, tmp_path, experiment, settings):
+        cfg = parse_config_text(
+            f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n{settings}\n"
+        )
+        d1, d2 = tmp_path / "r1", tmp_path / "r2"
+        run(cfg, output_dir=d1)
+        run(cfg, output_dir=d2)
+        # the sweep's sub-runs write theirs one directory down
+        names = sorted(f.relative_to(d1) for pattern in ("summary.json", "series.csv")
+                       for f in d1.rglob(pattern))
+        assert len(names) == (6 if experiment == "sweep" else 2)
+        for name in names:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
     def test_evolve_zero_data_gives_zero_series(self, tmp_path):
         cfg = parse_config_text(EVOLVE_CFG).with_override("initial.amplitude", 0.0)
         out = tmp_path / "zero"
@@ -696,6 +725,28 @@ class TestCli:
         assert text.startswith("# t mass\n")
         code = main(["plot-data", str(out / "series.csv"), "--columns", "t,bogus"])
         assert code == 2
+
+    def test_plot_data_io_failure_exit_4(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("t,mass\n0,1.5\n")
+        for argv in (
+            [str(tmp_path / "missing.csv"), "--columns", "t,mass"],
+            [str(series), "--columns", "t,mass", "--out", str(tmp_path / "no_dir" / "plot.dat")],
+        ):
+            assert main(["plot-data", *argv]) == 4
+            assert json.loads(capsys.readouterr().err)["error"] == "IOError"
+
+    def test_profile_window_step_zero_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path,
+            "experiment = profiles\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            "potential.family = flat\nprofiles.fixture = two_bump\nprofiles.t_step = 0\n",
+        )
+        code = main(["profiles", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "t_step" in err["message"]
 
     def test_plot_data_to_file(self, tmp_path):
         cfg = self._write_cfg(tmp_path, EVOLVE_CFG)

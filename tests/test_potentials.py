@@ -82,6 +82,33 @@ class TestDerivative:
         vp = build_potential_derivative(PotentialSpec(family=PotentialFamily.FLAT), grid_small)
         assert np.array_equal(vp, np.zeros(grid_small.n_points))
 
+    @pytest.mark.parametrize(
+        "family", [PotentialFamily.GAUSSIAN_MATCHED_STEP, PotentialFamily.LOGISTIC_STEP]
+    )
+    def test_closed_form_is_the_centered_difference_at_second_order(self, family):
+        spec = PotentialSpec(family=family, height=2.0, width=1.5, a_minus=0.25, a_plus=1.0)
+        errors = []
+        for n in (1024, 2048):
+            g = snls.Grid(n, 40.0)
+            v = build_potential(spec, g)
+            fd = (v[2:] - v[:-2]) / (2.0 * g.dx)
+            # |x| >= 1 leaves out the matched point, where the Gaussian's V'' jumps
+            away = np.abs(g.x[1:-1]) >= 1.0
+            errors.append(np.max(np.abs(build_potential_derivative(spec, g)[1:-1] - fd)[away]))
+        # halving dx quarters the error of a centered difference
+        assert 3.5 < errors[0] / errors[1] < 4.5
+        assert errors[1] < 1e-3
+
+    def test_custom_derivative_is_the_gradient_of_the_samples(self, grid_small):
+        spec = PotentialSpec(
+            family=PotentialFamily.CUSTOM_SAMPLES,
+            custom_x=np.array([-15.0, -2.0, 0.0, 3.0, 15.0]),
+            custom_v=np.array([0.0, 0.5, 2.0, 1.25, 1.0]),
+        )
+        v = build_potential(spec, grid_small)
+        vp = build_potential_derivative(spec, grid_small)
+        assert np.array_equal(vp, np.gradient(v, grid_small.dx))
+
 
 class TestHypotheses:
     def test_canonical_family_all_ok(self):

@@ -376,6 +376,52 @@ class TestProfileDecomposition:
         other = snls.gaussian_packet(snls.Grid(512, 200.0))
         with pytest.raises(ParameterError):
             snls.greedy_profile_decomposition([base, base, other], p, 1, 7.0)
+        # an empty, backward or endless time window
+        for window in ({"t_step": 0.0}, {"t_step": -0.1}, {"t_window": -5.0}, {"t_window": np.inf}):
+            with pytest.raises(ParameterError):
+                snls.greedy_profile_decomposition([base, base, base], p, 1, 7.0, **window)
+
+    def test_pythagorean_defects_place_the_last_member(self):
+        # on a steplike V the H1_V norm of a placed profile depends on x_n and
+        # the Lq norm of its flow on t_n, so every member's placement differs
+        g = snls.Grid(256, 40.0)
+        p = snls.PerturbedPropagator(g, snls.build_potential(snls.PotentialSpec(), g), dt=0.05)
+        bump = snls.gaussian_packet(g)
+        small = snls.gaussian_packet(g, amplitude=0.3, width=0.7)
+        shifts = g.dx * np.array([-40, -24, -8, 8, 24, 40])
+        times = np.array([1.0, -0.5, 0.5, -1.0, 0.75, -0.25])
+        # a bump run for t_n from x_n, plus a smaller bump at -2 x_n that the
+        # median leaves in the remainder
+        family = []
+        for a, t in zip(shifts, times):
+            run_back = p.evolve(translate(bump, a), t).values
+            family.append(snls.ComplexField(g, run_back + translate(small, -2 * a).values))
+        q = 7.0
+        res = snls.greedy_profile_decomposition(family, p, j_max=1, q_exponent=q,
+                                                t_window=1.5, t_step=0.25)
+        assert len(res.profiles) == 1
+        assert np.array_equal(res.profiles[0].t_shifts, -times)
+        last, rem = family[-1], res.remainder
+
+        def defects(n):
+            placed = [translate(pr.psi, pr.x_shifts[n]) for pr in res.profiles]
+            flows = [p.evolve(f, -pr.t_shifts[n]) for f, pr in zip(placed, res.profiles)]
+            return {
+                "mass": snls.l2_norm_sq(last)
+                - sum(snls.l2_norm_sq(pr.psi) for pr in res.profiles)
+                - snls.l2_norm_sq(rem),
+                "h1v": snls.h1v_norm_sq(last, p.v)
+                - sum(snls.h1v_norm_sq(f, p.v) for f in placed)
+                - snls.h1v_norm_sq(rem, p.v),
+                "lq": snls.lp_norm(last, q) ** q
+                - snls.lp_norm(rem, q) ** q
+                - sum(snls.lp_norm(f, q) ** q for f in flows),
+            }
+
+        assert res.pythagorean_defects == pytest.approx(defects(-1), rel=1e-12, abs=0.0)
+        first = defects(0)
+        for key in ("h1v", "lq"):
+            assert abs(first[key] - res.pythagorean_defects[key]) > 1e-3 * abs(first[key])
 
 
 @given(
