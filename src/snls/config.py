@@ -7,10 +7,11 @@ Grammar (one assignment per line, no code):
     section.key = value
 
 Values are parsed as, in order: booleans ``true``/``false``, integers,
-floats, comma-separated float lists, and otherwise verbatim strings.  A
-value with a comma is a float list only when every nonempty item is a
-number (``1.5,`` is a one-item list); any other comma text, such as
-``first run, small grid``, stays one string.
+floats, comma-separated number lists, and otherwise verbatim strings.  A
+value with a comma is a list only when every nonempty item is a number
+(``1.5,`` is a one-item list), each item an integer or a float as a
+scalar would be; any other comma text, such as ``first run, small
+grid``, stays one string.
 Keys are dotted paths; the flat key -> value map is the whole model, so
 configs diff cleanly and sweeps can be generated by templating a single
 line.
@@ -78,32 +79,25 @@ EXPERIMENTS = (
 _MISSING = object()
 
 
-def _parse_scalar(token: str):
-    low = token.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
+def _parse_number(token: str):
+    """An integer literal as int, any other number as float; ValueError otherwise."""
     try:
         return int(token)
     except ValueError:
-        pass
-    try:
         return float(token)
-    except ValueError:
-        pass
-    return token
 
 
 def _parse_value(text: str):
     text = text.strip()
-    if "," in text:
-        parts = [p for p in text.split(",") if p.strip()]
-        try:
-            return [float(p) for p in parts] if parts else text
-        except ValueError:
-            return text
-    return _parse_scalar(text)
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    parts = [p for p in text.split(",") if p.strip()]
+    try:
+        if "," not in text:
+            return _parse_number(text)
+        return [_parse_number(p) for p in parts] if parts else text
+    except ValueError:
+        return text
 
 
 def parse_config_text(text: str, source: str = "<string>") -> "RunConfig":
@@ -215,12 +209,16 @@ class RunConfig:
                 text = "true" if val else "false"
             elif isinstance(val, list):
                 # a trailing comma keeps a one-item list a list
-                text = ", ".join(f"{v:.17g}" for v in val) + ("," if len(val) == 1 else "")
-            elif isinstance(val, float):
-                text = f"{val:.17g}"
-                if text.lstrip("-").isdigit():
-                    text += ".0"  # an integral float must re-parse as a float
+                text = ", ".join(map(_render_scalar, val)) + ("," if len(val) == 1 else "")
             else:
-                text = str(val)
+                text = _render_scalar(val)
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
+
+
+def _render_scalar(val) -> str:
+    """Text that parses back to val: a float at full precision, and ".0" if integral."""
+    if not isinstance(val, float):
+        return str(val)
+    text = f"{val:.17g}"
+    return text + ".0" if text.lstrip("-").isdigit() else text

@@ -112,10 +112,21 @@ def _frozen_potential(v, grid: Grid) -> np.ndarray:
     return v
 
 
-def multiplier_cache(w: np.ndarray, dt: float):
-    """h -> exp(-i*h*w), computed once for the recurring substeps +-dt and +-dt/2."""
-    kept = functools.cache(lambda h: np.exp(-1j * h * w))
-    return lambda h: kept(h) if abs(h) in (dt, 0.5 * dt) else np.exp(-1j * h * w)
+def substep_cache(make, dt: float):
+    """h -> make(h), kept only for the recurring substeps +-dt and +-dt/2: a solve
+    over many record times keeps nothing per remainder substep."""
+    kept, recurring = functools.cache(make), {dt, -dt, 0.5 * dt, -0.5 * dt}
+    return lambda h: kept(h) if h in recurring else make(h)
+
+
+def strang_rules(grid: Grid, v: np.ndarray, dt: float, alpha=None):
+    """``strang``'s (kinetic, phase) on grid for V = v, step dt and power alpha (None: linear).
+
+    kinetic(h) = exp(-i*h*xi^2) / N folds in the inverse transform's 1/N,
+    exact because ``Grid`` makes N a power of two."""
+    xi2, n_points = grid.wavenumbers**2, grid.n_points
+    kinetic = substep_cache(lambda h: np.exp(-1j * h * xi2) / n_points, dt)
+    return kinetic, local_phase(v, alpha, dt)
 
 
 def local_phase(v: np.ndarray, alpha, dt: float):
@@ -133,7 +144,7 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     cos or sin.  A stack with such a row runs row by row, so each row is
     still bit for bit its own (N,) run.
     """
-    mult = multiplier_cache(v, dt)
+    mult = substep_cache(lambda h: np.exp(-1j * h * v), dt)
     if alpha is None:
 
         def phase(u, tau):
@@ -153,7 +164,7 @@ def local_phase(v: np.ndarray, alpha, dt: float):
         b = np.where(quintic, (SMALL_ROTATION / abs(tau)) ** 0.4 if tau else math.inf, -1.0)
         return b if b.ndim else float(b)
 
-    small_bound = functools.cache(bound)
+    small_bound = substep_cache(bound, dt)
 
     def turn(u, d, tmp, ph, rot, half_alpha, tau, small):
         """u *= exp(-i*tau*(V + d**half_alpha)), by 1 + i*theta_x if small."""
@@ -190,28 +201,23 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     return phase
 
 
-def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard=math.inf):
+def strang(u: np.ndarray, spans, dt: float, kinetic, phase):
     """Strang splitting of raw samples u, in place; yields u after each signed span.
 
     u is (N,) or a (B, N) stack of rows; ``np.fft`` works along the last
-    axis and the rules broadcast, so each row is bit for bit its own (N,)
-    run.  The local flow keeps |u|, so the closing half phase of substep h_k
-    and the opening one of h_{k+1} merge into one phase of (h_k + h_{k+1})/2:
-    a span takes one phase at each joint between its substeps, a half phase
-    at either end, and fft, x kinetic(h), ifft for each substep h, so every
-    yield is an exact Strang state.  The inverse transform's 1/N is folded
-    into the kinetic multiplier; ``Grid`` makes N a power of two, so the
-    scaling is exact.  The guard, a number or one per row, reads
-    ``not (sup|u| <= guard)`` row by row so that NaN trips it too,
-    and the error names the first row that tripped.  A phase reports sup|u|
-    of its input, so a finite guard reads sup|u| after the closing half
-    phase of a span instead: no later phase would see a NaN made there by
-    |u|^alpha overflowing.
+    axis and the rules (``strang_rules``) broadcast, so each row is bit for
+    bit its own (N,) run.  The local flow keeps |u|, so the closing half
+    phase of substep h_k and the opening one of h_{k+1} merge into one
+    phase of (h_k + h_{k+1})/2: a span takes one phase at each joint
+    between its substeps, a half phase at either end, and fft, x
+    kinetic(h), ifft for each substep h, so every yield is an exact Strang
+    state.  A nonlinear phase returns sup|u| of its input per row, read again
+    after a span's closing half phase; where ``sup|u| < inf`` fails (NaN or
+    Inf: the arithmetic overflowed) the error names the first such row.  A
+    linear phase returns None and is not checked: a unitary flow of finite
+    data stays finite.
     """
     buf, t, n_done = np.empty_like(u), 0.0, 0
-    n_points = u.shape[-1]
-    scaled_kinetic = functools.cache(lambda h: kinetic(h) / n_points)
-    close_check = np.min(guard) < math.inf
     # a single row compares scalars: ndarray.all on a numpy bool costs more
     # than the comparison itself, on every step
     passed = np.ndarray.all if u.ndim > 1 else bool
@@ -220,18 +226,17 @@ def strang(u: np.ndarray, spans, dt: float, kinetic, phase, guard=math.inf):
         steps = [math.copysign(dt, span)] * n_full + ([math.copysign(rem, span)] if rem else [])
         for k, (h_prev, h) in enumerate(itertools.pairwise([0.0] + steps + [0.0])):
             amax = phase(u, 0.5 * (h_prev + h))
-            if not h and close_check:
+            if amax is not None and not h:
                 amax = np.abs(u).max(axis=-1)
-            if amax is not None and not passed(amax <= guard):
-                sup, bound = (np.ravel(a) for a in np.broadcast_arrays(amax, guard))
-                row = int(np.argmin(sup <= bound))
+            if amax is not None and not passed(amax < math.inf):
+                row = int(np.argmin(np.ravel(amax) < math.inf))
                 where = f" in row {row}" if u.ndim > 1 else ""
                 raise InstabilityError(
-                    f"sup|u| = {sup[row]:.3e}{where} passed the guard {bound[row]:.3e} at step "
+                    f"sup|u| = {np.ravel(amax)[row]:.3e}{where} passed the guard at step "
                     f"{n_done + k}, t={t + sum(steps[:k]):.6g}, dt={dt:g}; reduce dt"
                 )
             if h:
-                np.multiply(np.fft.fft(u, out=buf), scaled_kinetic(h), out=buf)
+                np.multiply(np.fft.fft(u, out=buf), kinetic(h), out=buf)
                 np.fft.ifft(buf, out=u, norm="forward")
         t, n_done = t + span, n_done + len(steps)
         yield u
@@ -279,11 +284,8 @@ class PerturbedPropagator:
         v = _frozen_potential(v, grid)
         if method not in self.METHODS:
             raise ParameterError(f"method must be one of {self.METHODS}, got {method!r}")
-        if method == "strang_splitting":
-            if not (0.0 < dt <= MAX_SPLITTING_DT):
-                raise ParameterError(
-                    f"splitting substep must satisfy 0 < dt <= {MAX_SPLITTING_DT}"
-                )
+        if method == "strang_splitting" and not (0.0 < dt <= MAX_SPLITTING_DT):
+            raise ParameterError(f"splitting substep must satisfy 0 < dt <= {MAX_SPLITTING_DT}")
         if method == "eigendecomposition" and grid.n_points > EIG_SIZE_CAP:
             raise CapabilityError(
                 f"eigendecomposition is capped at {EIG_SIZE_CAP} points "
@@ -294,7 +296,7 @@ class PerturbedPropagator:
         self.method = method
         self.dt = float(dt)
         self._eig = None
-        self._rules = multiplier_cache(grid.wavenumbers**2, self.dt), local_phase(v, None, self.dt)
+        self._rules = strang_rules(grid, v, self.dt)
 
     def _eigensystem(self):
         if self._eig is None:

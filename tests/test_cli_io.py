@@ -157,6 +157,12 @@ class TestConfigParsing:
         assert cfg.get_float_list("one") == [1.5]
         assert cfg.get_str("sep") == ","
         assert "one = 1.5,\n" in cfg.render()
+        # list items parse as lone values do, so a sweep can vary an integer key
+        cfg = parse_config_text("n = 3, 4\nx = 1.0, 2, 1e3\none = 7,\n")
+        assert cfg.entries == {"n": [3, 4], "x": [1.0, 2, 1000.0], "one": [7]}
+        assert [type(v) for v in cfg.entries["x"]] == [float, int, float]
+        assert cfg.render() == "n = 3, 4\none = 7,\nx = 1.0, 2, 1000.0\n"
+        assert cfg.get_float_list("n") == [3.0, 4.0]
 
     @examples
     @given(
@@ -557,6 +563,47 @@ class TestExperiments:
         assert stacks == sizes
         assert len(summary["runs"]) == sum(sizes)
 
+    @pytest.mark.parametrize(
+        "experiment, parameter, values, settings",
+        [("evolve", "grid.n_points", [64, 128], "solver.dt = 0.01\nsolver.t_final = 0.3"
+          "\nsolver.record_stride = 0.1\ninitial.kind = gaussian"),
+         ("decay", "potential.height", [1.5, 2.0], "grid.n_points = 256\npropagator.dt = 0.05"
+          "\ndecay.t_min = 0.5\ndecay.t_max = 2.0\ndecay.num = 3\ninitial.kind = gaussian")],
+        ids=["evolve_resolution", "decay_height"],
+    )
+    # the 64-point run trips the resolution monitor, in the sweep and alone
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_sweep_runs_are_standalone_runs(self, tmp_path, experiment, parameter, values,
+                                            settings):
+        # an integer key (a resolution sweep) and a point-by-point
+        # sub-experiment, each point byte-identical to its own run
+        base = f"grid.length = 40.0\n{settings}\n"
+        cfg = parse_config_text(
+            f"experiment = sweep\n{base}sweep.experiment = {experiment}\n"
+            f"sweep.parameter = {parameter}\nsweep.values = {', '.join(map(str, values))}\n"
+        )
+        summary = run(cfg, output_dir=tmp_path / "sw")
+        assert summary["values"] == values
+        for i, value in enumerate(values):
+            alone = parse_config_text(f"experiment = {experiment}\n{base}{parameter} = {value}\n")
+            run(alone, output_dir=tmp_path / f"alone_{i}")
+            for name in ("summary.json", "series.csv"):
+                assert ((tmp_path / "sw" / f"run_{i:03d}" / name).read_bytes()
+                        == (tmp_path / f"alone_{i}" / name).read_bytes())
+
+    @pytest.mark.parametrize(
+        "stride, times",
+        [(0.3, [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]), (0.6, [0.0, 0.6, 1.0])],
+        ids=["appended", "clamped"],
+    )
+    def test_record_stride_that_does_not_divide_t_final(self, tmp_path, stride, times):
+        # 0.3 rounds down to three strides and appends t_final; 0.6 rounds up
+        # to two strides and clamps the second to t_final
+        cfg = parse_config_text(EVOLVE_CFG).with_override("solver.record_stride", stride)
+        run(cfg, output_dir=tmp_path / "ev")
+        rows = (tmp_path / "ev" / "series.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == times
+
     def test_sweep_over_strings_rejected_before_runs(self, tmp_path):
         cfg = parse_config_text(
             EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
@@ -758,36 +805,28 @@ class TestCli:
         ]) == 0
         assert dest.read_text().startswith("# t energy\n")
 
-    def test_instability_exit_3(self, tmp_path, capsys, monkeypatch):
-        # colliding packets double the sup norm; a guard tightened to 1.5x
-        # turns the collision into an instability signal
-        import snls.solver as solver_mod
-
-        monkeypatch.setattr(solver_mod, "BLOWUP_FACTOR", 1.5)
-        g = snls.Grid(512, 100.0)
-        vals = (
-            snls.gaussian_packet(g, center=-5.0, momentum=2.5, width=3.0).values
-            + snls.gaussian_packet(g, center=5.0, momentum=-2.5, width=3.0).values
-        )
-        snap = tmp_path / "u0.snls"
-        write_checkpoint(snap, snls.ComplexField(g, 0.1 * vals), 0.0)
+    def test_square_overflow_exit_3(self, tmp_path, capsys):
+        # re^2 overflows to inf in the first phase, so sup|u| reads inf at
+        # step 0; a guard reading sup|u| <= inf would let the run go on
         cfg = self._write_cfg(
             tmp_path,
-            f"""
+            """
             experiment = evolve
-            grid.n_points = 512
-            grid.length = 100.0
+            grid.n_points = 256
+            grid.length = 40.0
             potential.family = flat
             solver.alpha = 5.0
-            solver.dt = 0.01
-            solver.t_final = 1.5
-            initial.kind = checkpoint
-            initial.checkpoint = {snap}
+            solver.dt = 1e-3
+            solver.t_final = 0.01
+            initial.kind = gaussian
+            initial.amplitude = 1e155
             """,
         )
         code = main(["evolve", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
         assert code == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "InstabilityError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InstabilityError"
+        assert "sup|u| = inf passed the guard at step 0," in err["message"]
 
     def test_overflow_exit_3(self, tmp_path, capsys):
         # |u|^alpha overflows at this amplitude and the field turns to NaN;

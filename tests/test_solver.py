@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import snls
 import snls.solver as solver_mod
 from snls.errors import GridMismatchError, InstabilityError, ParameterError
+from snls.propagators import substep_sizes
 from snls.solver import solve_stack
 
 from conftest import l2_dist
@@ -39,6 +41,11 @@ class TestProblemValidation:
             make_problem(g, v, u0, record_times=[0.5, 0.5])
         with pytest.raises(ParameterError):
             make_problem(g, v, u0, record_times=[0.5, 2.0])
+        # a non-finite time fails here, not in the solve
+        for kw in ({"t_final": np.inf}, {"dt": np.inf}, {"dt": np.nan},
+                   {"record_times": [0.5, np.nan]}, {"record_times": [np.nan]}):
+            with pytest.raises(ParameterError):
+                make_problem(g, v, u0, **kw)
 
     def test_zero_prepended(self, setup):
         g, v = setup
@@ -171,20 +178,43 @@ class TestSolve:
 
 
 class TestGuardsAndWarnings:
-    def test_blowup_guard(self, setup, monkeypatch):
-        # two counter-propagating packets constructively interfere, roughly
-        # doubling the sup norm; with the guard tightened to 1.5x this must
-        # trip the instability error
-        monkeypatch.setattr(solver_mod, "BLOWUP_FACTOR", 1.5)
-        g, _ = setup
-        vals = (
-            snls.gaussian_packet(g, center=-5.0, momentum=2.5, width=3.0).values
-            + snls.gaussian_packet(g, center=5.0, momentum=-2.5, width=3.0).values
-        )
-        u0 = snls.ComplexField(g, 0.1 * vals)  # weak enough to stay near-linear
-        with pytest.raises(InstabilityError):
-            snls.solve(snls.NlsProblem(grid=g, v=np.zeros(g.n_points), alpha=5.0,
-                                       u0=u0, dt=1e-2, t_final=1.5))
+    @pytest.mark.parametrize(
+        "amplitude, message",
+        [(1e155, r"sup\|u\| = inf passed the guard at step 0,"),
+         (1e70, r"sup\|u\| = nan passed the guard at step 1,")],
+        ids=["square_overflows", "power_overflows"],
+    )
+    def test_guard_trips_on_overflow(self, amplitude, message):
+        # re^2 overflows to inf in the first phase at 1e155, so sup|u| reads
+        # inf at step 0 (a guard reading sup|u| <= inf would let it pass);
+        # at 1e70 only |u|^5 overflows, and the NaN it makes shows at step 1
+        g = snls.Grid(256, 40.0)
+        problem = snls.NlsProblem(grid=g, v=np.zeros(256), alpha=5.0, dt=1e-3, t_final=0.01,
+                                  u0=snls.gaussian_packet(g, amplitude=amplitude))
+        with pytest.raises(InstabilityError, match=message):
+            snls.solve(problem)
+
+    def test_snapshots_keep_no_multiplier_per_remainder(self):
+        # 200 record times off the step lattice end 200 spans on distinct
+        # remainder substeps; a kernel that kept a multiplier for each would
+        # hold about 200 snapshot sizes.  The first run takes the imports and
+        # caches that a run loads once.
+        g = snls.Grid(512, 40.0)
+        v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), g)
+        times = np.cumsum(np.random.default_rng(3).uniform(0.011, 0.029, 200))
+        problem = make_problem(g, v, snls.gaussian_packet(g, amplitude=0.5), dt=1e-2,
+                               t_final=float(times[-1]), record_times=times)
+        assert sum(bool(substep_sizes(t, 1e-2)[1]) for t in np.diff(times)) > 190
+        for _ in solver_mod._snapshots([problem]):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in solver_mod._snapshots([problem]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 512 * 16
 
     def test_wraparound_warning(self):
         g = snls.Grid(256, 30.0)

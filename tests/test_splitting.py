@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import snls
 from snls.cli import main
 from snls.errors import GridMismatchError, ParameterError
-from snls.propagators import SMALL_ROTATION, local_phase, multiplier_cache, strang, substep_sizes
+from snls.propagators import SMALL_ROTATION, local_phase, strang, strang_rules, substep_sizes
 from snls.scattering import _lowpass, _median_field
 
 examples = settings(max_examples=30)
@@ -283,10 +283,9 @@ def test_strang_backward_undoes_forward(n_exp, height, dt, k, amplitude, momentu
     # a span on the step lattice takes no remainder substep, so the backward
     # span runs the same substeps in reverse and undoes the forward one
     grid, v, u0 = setting(n_exp, height, amplitude, momentum)
-    kinetic = multiplier_cache(grid.wavenumbers**2, dt)
-    phase = local_phase(v, None if linear else alpha, dt)
+    rules = strang_rules(grid, v, dt, None if linear else alpha)
     u = u0.values.copy()
-    for _ in strang(u, [k * dt, -k * dt], dt, kinetic, phase):
+    for _ in strang(u, [k * dt, -k * dt], dt, *rules):
         pass
     assert rel_l2(u, u0.values) <= TOL
 
@@ -362,13 +361,11 @@ def test_profile_search_is_per_member_search_on_eigendecomposition():
 def test_stacked_nonlinear_strang_is_per_row_strang(n_exp, height, dt, gaps, alphas, seed):
     grid, v, _ = setting(n_exp, height, 1.0, 0.0)
     rows = packets(grid, seed, len(alphas))
-    kinetic = multiplier_cache(grid.wavenumbers**2, dt)
-    guard = 1e6 * np.abs(rows).max(axis=-1)
-    phase = local_phase(v, np.array(alphas)[:, None], dt)
-    stacked = [u.copy() for u in strang(rows.copy(), gaps, dt, kinetic, phase, guard)]
+    rules = strang_rules(grid, v, dt, np.array(alphas)[:, None])
+    stacked = [u.copy() for u in strang(rows.copy(), gaps, dt, *rules)]
     assert len(stacked) == len(gaps)
     for n, alpha in enumerate(alphas):
-        alone = strang(rows[n].copy(), gaps, dt, kinetic, local_phase(v, alpha, dt), guard[n])
+        alone = strang(rows[n].copy(), gaps, dt, *strang_rules(grid, v, dt, alpha))
         for u, row in zip(stacked, alone):
             assert np.array_equal(u[n], row)
 
