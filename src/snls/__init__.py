@@ -8,7 +8,6 @@ from .diagnostics import (
     MorawetzReport,
     StrichartzPair,
     decay_ratio,
-    defocusing_sup_bound,
     energy,
     exponents,
     h1v_norm_sq,
@@ -65,11 +64,10 @@ from .scattering import (
     ProfileSet,
     channel_convergence_study,
     extract_linear_channels,
-    extract_nonlinear_channels,
     greedy_profile_decomposition,
     nonlinear_wave_state,
     translation_flow_gap,
 )
-from .solver import NlsProblem, Trajectory, phase_substep, solve
+from .solver import NlsProblem, Trajectory, solve
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ Recognized keys (see README for the per-experiment required sets):
     experiment                evolve | channels | linear_channels | morawetz
                               | decay | profiles | translation_gap
                               | check_potential | sweep
-    seed                      integer, synthetic-fixture RNG seed
+    seed                      integer, RNG seed read only by the one_bump and
+                              noise profile fixtures (checked for every fixture)
     output_dir                artifact directory (CLI --output-dir overrides)
     grid.n_points             power of two >= 16
     grid.length               box length

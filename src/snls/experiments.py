@@ -432,8 +432,11 @@ def _profile_fixture(cfg: RunConfig, grid: Grid) -> list:
     kind = cfg.get_str("profiles.fixture", "one_bump")
     count = cfg.get_int("profiles.count", 6)
     amp = cfg.get_float("profiles.amplitude", 1.0)
-    rng = np.random.default_rng(cfg.get_int("seed", 0))
+    # read for every fixture, so a bad seed fails alike; only one_bump and
+    # noise draw, and only they import numpy.random (about 5 MB)
+    seed = cfg.get_int("seed", 0)
     if kind == "one_bump":
+        rng = np.random.default_rng(seed)
         shifts = np.round(
             rng.uniform(-grid.length / 8, grid.length / 8, size=count) / grid.dx
         ) * grid.dx
@@ -451,6 +454,7 @@ def _profile_fixture(cfg: RunConfig, grid: Grid) -> list:
             out.append(ComplexField(grid, vals))
         return out
     if kind == "noise":
+        rng = np.random.default_rng(seed)
         out = []
         for _ in range(count):
             vals = amp * (

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import exponents, h1v_norm_sq
+from .diagnostics import _median, exponents, h1v_norm_sq
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -71,7 +71,6 @@ __all__ = [
     "extract_linear_channels",
     "channel_convergence_study",
     "nonlinear_wave_state",
-    "extract_nonlinear_channels",
     "translation_flow_gap",
     "Profile",
     "ProfileSet",
@@ -257,18 +256,6 @@ def _wave_states(
     return states + flows
 
 
-def extract_nonlinear_channels(
-    traj: Trajectory,
-    p: PerturbedPropagator,
-    T: float,
-    n: int,
-    allow_interpolation: bool = False,
-) -> ChannelPair:
-    """Wave-operator pullback at T followed by linear channel extraction."""
-    psi_plus = nonlinear_wave_state(traj, p, T, allow_interpolation)
-    return extract_linear_channels(p, psi_plus, n)
-
-
 def translation_flow_gap(
     p: PerturbedPropagator,
     psi: ComplexField,
@@ -345,7 +332,7 @@ def _lowpass(values: np.ndarray, grid, radius: float) -> np.ndarray:
 
 
 def _median_field(stack: np.ndarray) -> np.ndarray:
-    return np.median(stack.real, axis=0) + 1j * np.median(stack.imag, axis=0)
+    return _median(stack.real) + 1j * _median(stack.imag)
 
 
 def _split_half_coherence(stack: np.ndarray, grid) -> float:

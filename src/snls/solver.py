@@ -45,9 +45,9 @@ from .grid import (
     l2_norm_sq,
     sup_norm,
 )
-from .propagators import _frozen_potential, local_phase, strang, strang_rules
+from .propagators import _frozen_potential, strang, strang_rules
 
-__all__ = ["NlsProblem", "Trajectory", "solve", "solve_stack", "phase_substep"]
+__all__ = ["NlsProblem", "Trajectory", "solve", "solve_stack"]
 
 SNAPSHOT_TOL = 1e-9  # a snapshot time matches a requested time this closely
 HIGH_MODE_WARN_FRACTION = 1e-8
@@ -78,12 +78,13 @@ class NlsProblem:
         object.__setattr__(self, "v", _frozen_potential(self.v, self.grid))
         if not self.u0.grid.same_as(self.grid):
             raise GridMismatchError("u0 does not live on the problem grid")
+        # "not (ok)", as for dt below, so that a NaN or infinite power fails
         if self.permissive:
-            if self.alpha <= 0:
-                raise ParameterError("alpha must be > 0")
-        elif self.alpha <= 4:
+            if not (0 < self.alpha < np.inf):
+                raise ParameterError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        elif not (4 < self.alpha < np.inf):
             raise ParameterError(
-                f"alpha must be > 4 (got {self.alpha}); "
+                f"alpha must be finite and > 4 (got {self.alpha!r}); "
                 "set permissive=True for exploratory powers"
             )
         if not (0 < self.dt < np.inf):
@@ -144,21 +145,6 @@ class Trajectory:
     @property
     def final_field(self) -> ComplexField:
         return self.fields[-1]
-
-
-def phase_substep(f: ComplexField, V, alpha: float, dt: float) -> ComplexField:
-    """Multiply by exp(-i*(V + |f|^alpha)*dt); |output| == |f| exactly.
-
-    Negative dt is allowed (time reversal of the local flow).
-    """
-    V = np.asarray(V, dtype=float)
-    if V.shape != f.values.shape:
-        raise GridMismatchError("potential samples do not match the field")
-    if not np.isfinite(dt):
-        raise ParameterError("dt must be finite")
-    u = f.values.copy()
-    local_phase(V, alpha, dt)(u, dt)
-    return ComplexField(f.grid, u)
 
 
 def solve(problem: NlsProblem) -> Trajectory:

@@ -231,6 +231,24 @@ initial.kind = gaussian
 """
 
 
+# one small run of every experiment, on 256 points
+EXPERIMENT_CASES = [
+    ("decay", "propagator.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
+    ("linear_channels", "propagator.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
+    ("channels", "solver.dt = 0.03125\npropagator.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
+     "\nchannels.n_max = 1\ninitial.kind = gaussian\ninitial.amplitude = 0.05"),
+    ("morawetz", "solver.dt = 0.01\nsolver.t_final = 1.0\nsolver.record_stride = 0.1"
+     "\nmorawetz.t_min = 0.5\ninitial.kind = gaussian"),
+    ("profiles", "propagator.dt = 0.05\nprofiles.fixture = two_bump\nprofiles.t_window = 1.0"),
+    ("translation_gap", "propagator.dt = 0.05\ntranslation.shifts = -4.0, -8.0"
+     "\ntranslation.t_span = 0.0, 1.0\ninitial.kind = gaussian"),
+    ("check_potential", ""),
+    ("sweep", "solver.dt = 0.01\nsolver.t_final = 0.5\nsolver.record_stride = 0.25"
+     "\ninitial.kind = gaussian\nsweep.experiment = evolve\nsweep.parameter = solver.alpha"
+     "\nsweep.values = 4.5, 5.0"),
+]
+
+
 class TestExperiments:
     def test_evolve_determinism_byte_identical(self, tmp_path):
         cfg = parse_config_text(EVOLVE_CFG)
@@ -240,21 +258,7 @@ class TestExperiments:
         for name in ("summary.json", "series.csv", "checkpoint_0002.snls"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    @pytest.mark.parametrize("experiment, settings", [
-        ("decay", "propagator.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
-        ("linear_channels", "propagator.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
-        ("channels", "solver.dt = 0.03125\npropagator.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
-         "\nchannels.n_max = 1\ninitial.kind = gaussian\ninitial.amplitude = 0.05"),
-        ("morawetz", "solver.dt = 0.01\nsolver.t_final = 1.0\nsolver.record_stride = 0.1"
-         "\nmorawetz.t_min = 0.5\ninitial.kind = gaussian"),
-        ("profiles", "propagator.dt = 0.05\nprofiles.fixture = two_bump\nprofiles.t_window = 1.0"),
-        ("translation_gap", "propagator.dt = 0.05\ntranslation.shifts = -4.0, -8.0"
-         "\ntranslation.t_span = 0.0, 1.0\ninitial.kind = gaussian"),
-        ("check_potential", ""),
-        ("sweep", "solver.dt = 0.01\nsolver.t_final = 0.5\nsolver.record_stride = 0.25"
-         "\ninitial.kind = gaussian\nsweep.experiment = evolve\nsweep.parameter = solver.alpha"
-         "\nsweep.values = 4.5, 5.0"),
-    ])
+    @pytest.mark.parametrize("experiment, settings", EXPERIMENT_CASES)
     def test_every_experiment_is_byte_identical(self, tmp_path, experiment, settings):
         cfg = parse_config_text(
             f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n{settings}\n"
@@ -268,6 +272,30 @@ class TestExperiments:
         assert len(names) == (6 if experiment == "sweep" else 2)
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_no_run_imports_numpy_random_or_ma(self, tmp_path):
+        # in a fresh interpreter, since pytest's own imports load both
+        script = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from snls.config import parse_config_text\n"
+            "from snls.experiments import run\n"
+            "for k, (experiment, settings) in enumerate(json.loads(sys.argv[1])):\n"
+            "    run(parse_config_text(f'experiment = {experiment}\\ngrid.n_points = 256'\n"
+            "                          f'\\ngrid.length = 40.0\\n{settings}\\n'),\n"
+            "        output_dir=Path(sys.argv[2]) / str(k))\n"
+            "print(json.dumps([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]))\n"
+        )
+        src = str(Path(snls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(EXPERIMENT_CASES), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        assert len(list(tmp_path.rglob("summary.json"))) == len(EXPERIMENT_CASES) + 2
 
     def test_evolve_zero_data_gives_zero_series(self, tmp_path):
         cfg = parse_config_text(EVOLVE_CFG).with_override("initial.amplitude", 0.0)
@@ -348,6 +376,25 @@ class TestExperiments:
         assert summary["n_profiles"] == 0
         assert summary["concentration_level"] == 0.0
         assert summary["remainder_mass"] == pytest.approx(summary["input_mass_last"])
+
+    @pytest.mark.parametrize("fixture", ["one_bump", "noise"])
+    def test_profile_fixture_draws_from_its_seed(self, fixture):
+        # the fields the seeded generator gives, drawn here in the fixture's order
+        grid = snls.Grid(256, 40.0)
+        cfg = parse_config_text(f"seed = 7\nprofiles.fixture = {fixture}\nprofiles.count = 3\n"
+                                "profiles.amplitude = 0.5\n")
+        rng = np.random.default_rng(7)
+        if fixture == "one_bump":
+            shifts = np.round(rng.uniform(-5.0, 5.0, size=3) / grid.dx) * grid.dx
+            base = snls.gaussian_packet(grid, amplitude=0.5)
+            expected = [snls.translate(base, s).values for s in shifts]
+        else:
+            expected = [0.5 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+                        for _ in range(3)]
+        fields = experiments._profile_fixture(cfg, grid)
+        assert [f.values.tobytes() for f in fields] == [e.tobytes() for e in expected]
+        other = experiments._profile_fixture(cfg.with_override("seed", 8), grid)
+        assert not np.array_equal(other[0].values, fields[0].values)
 
     def test_decay_smoke(self, tmp_path):
         cfg = parse_config_text(
@@ -1081,6 +1128,17 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert f"{key} must be finite" in err["message"]
+        assert not out.exists()
+
+    def test_bad_seed_exit_2_on_a_fixture_that_draws_nothing(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, "experiment = profiles\nseed = abc\ngrid.n_points = 256\n"
+                              "grid.length = 40.0\npropagator.dt = 0.05\n"
+                              "profiles.fixture = two_bump\nprofiles.t_window = 1.0\n")
+        out = tmp_path / "o"
+        assert main(["profiles", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "seed" in err["message"]
         assert not out.exists()
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):

@@ -208,7 +208,7 @@ class TestWaveOperator:
         u0 = snls.gaussian_packet(channel_grid)
         traj = self._solve(channel_grid, v, u0, 2.0, linear=True)
         p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
-        via_traj = snls.extract_nonlinear_channels(traj, p, 2.0, 1)
+        via_traj = snls.extract_linear_channels(p, snls.nonlinear_wave_state(traj, p, 2.0), 1)
         direct = snls.extract_linear_channels(p, u0, 1)
         assert l2_dist(via_traj.eta, direct.eta) < 1e-10
         assert l2_dist(via_traj.gamma, direct.gamma) < 1e-10
