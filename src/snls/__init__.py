@@ -29,16 +29,12 @@ from .grid import (
     ComplexField,
     Grid,
     boundary_mass_fraction,
-    forward_transform,
     gaussian_packet,
     h1_norm_sq,
     high_mode_fraction,
-    inner_product,
-    inverse_transform,
     l1_norm,
     l2_norm_sq,
     lp_norm,
-    spectral_derivative,
     sup_norm,
     translate,
 )

@@ -40,16 +40,18 @@ Recognized keys (see README for the per-experiment required sets):
     solver.permissive         allow alpha <= 4
     propagator.method         strang_splitting | eigendecomposition
     propagator.dt             splitting substep (channels: equal to solver.dt)
-    decay.times               probe times (list), or decay.t_min/t_max/num
+    decay.times               probe times (list, each > 0), or decay.t_min/t_max
+                              (> 0) and decay.num (>= 1) for a geometric grid
     channels.n_max            subsequence depth
     channels.wave_times       wave-operator pullback times (list, multiples of solver.dt)
-    morawetz.t_min            identity evaluation start (default 1.0)
+    morawetz.t_min            identity evaluation start, > 0 and past the
+                              t = 0 snapshot (default 1.0)
     translation.shifts        bump shifts (list)
     translation.t_span        two floats
     profiles.fixture          one_bump | two_bump | noise
     profiles.j_max/q/t_window/t_step
     profiles.amplitude        fixture amplitude
-    profiles.count            ensemble size
+    profiles.count            ensemble size, >= 3
     checkpoint.save           write snapshot checkpoints (evolve)
     sweep.experiment          sub-experiment to fan out
     sweep.parameter           dotted key to vary

@@ -136,10 +136,6 @@ class ExponentSet:
     q: float
     supercritical: bool = True
 
-    @property
-    def q_prime(self) -> float:
-        return self.q / (self.q - 1.0)
-
 
 def exponents(alpha: float, permissive: bool = False) -> ExponentSet:
     """r = alpha+2, p = 2a(a+2)/(4+a), q = 2a(a+2)/(a^2+a-4) at d = 1."""
@@ -248,8 +244,8 @@ def morawetz_report(
     t_min: float = 1.0,
     vprime=None,
 ) -> MorawetzReport:
-    """Evaluate the identity on snapshots with t >= t_min (weight is singular
-    at t = x = 0; the estimate integrates over { 1 < |t| }).
+    """Evaluate the identity on snapshots with t >= t_min > 0 (weight is
+    singular at t = x = 0; the estimate integrates over { 1 < |t| }).
 
     Requires at least three uniformly spaced selected snapshots
     (``_morawetz_times``).  They pass through ``_morawetz_window``, which
@@ -272,10 +268,13 @@ def morawetz_report(
 
 def _morawetz_times(times: np.ndarray, time_derivative: str, t_min: float) -> np.ndarray:
     """The snapshot times t >= t_min that the identity is evaluated on, checked:
-    a known mode, at least three of them, uniformly spaced."""
+    a known mode, t_min > 0 and no time t <= 0, at least three of them,
+    uniformly spaced."""
     if time_derivative not in ("difference", "equation"):
         raise ParameterError("time_derivative must be 'difference' or 'equation'")
     times = times[times >= t_min - 1e-12]
+    if not t_min > 0 or (times.size and times[0] <= 0):
+        raise ParameterError(f"t_min = {t_min} must select only snapshots at t > 0")
     if times.size < 3:
         raise InsufficientDataError(
             f"need >= 3 snapshots at t >= {t_min}, found {times.size}"

@@ -252,18 +252,20 @@ def _run_evolve_points(points) -> None:
 
 
 def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
+    if "decay.times" in cfg.entries:
+        times = np.asarray(cfg.get_float_list("decay.times"))
+    else:
+        t_min, t_max = cfg.get_float("decay.t_min", 1.0), cfg.get_float("decay.t_max", 100.0)
+        num = cfg.get_int("decay.num", 13)
+        if not (t_min > 0 and t_max > 0):
+            raise ConfigError(f"decay.t_min and decay.t_max must be > 0, got {t_min}, {t_max}")
+        if num < 1:
+            raise ConfigError(f"decay.num must be >= 1, got {num}")
+        times = np.geomspace(t_min, t_max, num)
     grid = _build_grid(cfg)
     v = _build_potential(cfg, grid)
     psi = _build_initial(cfg, grid)
     prop = _build_propagator(cfg, grid, v)
-    if "decay.times" in cfg.entries:
-        times = np.asarray(cfg.get_float_list("decay.times"))
-    else:
-        times = np.geomspace(
-            cfg.get_float("decay.t_min", 1.0),
-            cfg.get_float("decay.t_max", 100.0),
-            cfg.get_int("decay.num", 13),
-        )
     ratios = diagnostics.decay_ratio(prop, psi, times)
     free_const = free_decay_constant()
     summary = {
@@ -431,6 +433,8 @@ def _run_translation_gap(cfg: RunConfig, outdir: Path) -> dict:
 def _profile_fixture(cfg: RunConfig, grid: Grid) -> list:
     kind = cfg.get_str("profiles.fixture", "one_bump")
     count = cfg.get_int("profiles.count", 6)
+    if count < 0:
+        raise ConfigError(f"profiles.count must be >= 0, got {count}")
     amp = cfg.get_float("profiles.amplitude", 1.0)
     # read for every fixture, so a bad seed fails alike; only one_bump and
     # noise draw, and only they import numpy.random (about 5 MB)

@@ -1,4 +1,4 @@
-"""Uniform periodic grid, discrete transforms and norm primitives.
+"""Uniform periodic grid, field values and norm primitives.
 
 Conventions, fixed once and used by every other module:
 
@@ -8,10 +8,9 @@ Conventions, fixed once and used by every other module:
   order; the Nyquist mode is kept with xi = -pi*N/L so that the quadratic
   form sum(xi^2 |fhat|^2) agrees exactly with the trigonometric-interpolant
   Laplacian;
-- the continuum transform is fhat(xi) = integral f(x) exp(-i*xi*x) dx,
-  discretized as fhat_k = dx * exp(-i*xi_k*x0) * FFT(f)_k with x0 = -L/2;
-- with this sign convention the free Schroedinger group exp(i*t*dxx) is the
-  Fourier multiplier exp(-i*t*xi^2) (i u_t = -u_xx);
+- spectra are the plain FFT, whose kernel is exp(-i*xi*x); with this sign
+  convention the free Schroedinger group exp(i*t*dxx) is the Fourier
+  multiplier exp(-i*t*xi^2) (i u_t = -u_xx);
 - integrals use the rectangle rule sum(...) * dx, which is spectrally
   accurate for smooth periodic (or decayed-to-zero) integrands.
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidFieldError, ParameterError
+from .errors import InvalidFieldError, ParameterError
 
 __all__ = [
     "Grid",
@@ -37,10 +36,6 @@ __all__ = [
     "l1_norm",
     "lp_norm",
     "sup_norm",
-    "inner_product",
-    "spectral_derivative",
-    "forward_transform",
-    "inverse_transform",
     "translate",
     "boundary_mass_fraction",
     "high_mode_fraction",
@@ -82,14 +77,6 @@ class Grid:
 
     def same_as(self, other: "Grid") -> bool:
         return self.n_points == other.n_points and self.length == other.length
-
-
-def _require_same_grid(a: Grid, b: Grid, what: str = "operands"):
-    if not a.same_as(b):
-        raise GridMismatchError(
-            f"{what} live on different grids: "
-            f"(N={a.n_points}, L={a.length}) vs (N={b.n_points}, L={b.length})"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,39 +164,9 @@ def sup_norm(f: ComplexField) -> float:
     return lp_norm(f, np.inf)
 
 
-def inner_product(f: ComplexField, g: ComplexField) -> complex:
-    """L2 inner product sum(f * conj(g)) * dx."""
-    _require_same_grid(f.grid, g.grid)
-    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.dx)
-
-
 def _derivative(v: np.ndarray, xi: np.ndarray, order: int = 1) -> np.ndarray:
     """Raw samples of the interpolant's derivative: ifft((i*xi)^order * fft(v))."""
     return np.fft.ifft((1j * xi) ** order * np.fft.fft(v))
-
-
-def spectral_derivative(f: ComplexField, order: int = 1) -> ComplexField:
-    """Derivative of the trigonometric interpolant (multiply by (i*xi)^order)."""
-    return ComplexField(f.grid, _derivative(f.values, f.grid.wavenumbers, order))
-
-
-def forward_transform(f: ComplexField) -> np.ndarray:
-    """Samples of fhat(xi) = integral f exp(-i*xi*x) dx at the grid wavenumbers.
-
-    Returned in FFT order, matching ``grid.wavenumbers``.
-    """
-    g = f.grid
-    phase = np.exp(-1j * g.wavenumbers * g.x[0])
-    return g.dx * phase * np.fft.fft(f.values)
-
-
-def inverse_transform(grid: Grid, fhat: np.ndarray) -> ComplexField:
-    """Inverse of :func:`forward_transform`."""
-    fhat = np.asarray(fhat, dtype=np.complex128)
-    if fhat.shape != (grid.n_points,):
-        raise GridMismatchError("spectrum length does not match grid")
-    phase = np.exp(1j * grid.wavenumbers * grid.x[0])
-    return ComplexField(grid, np.fft.ifft(phase * fhat) / grid.dx)
 
 
 def translate(f: ComplexField, shift: float) -> ComplexField:

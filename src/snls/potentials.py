@@ -175,8 +175,11 @@ class HypothesisReport:
         return all(v for v in vars(self).values() if isinstance(v, bool))
 
     def as_dict(self) -> dict:
+        """The flags and numbers as JSON values: an infinite exponent is None."""
         d = asdict(self)
         d["worst_violation_x"], d["worst_violation_value"] = d.pop("worst_violation")
+        if np.isinf(self.measured_exponent):
+            d["measured_exponent"] = None
         return d
 
 
@@ -227,7 +230,9 @@ def check_hypotheses(
     limits:      mean of V over the outer 5% of each side vs a_+/- at 1e-6.
     decay:       |x|^(1+eps)|V - a_+-| decreasing toward 0 on the outer 25%
                  of each half-domain; the measured exponent is a log-log fit
-                 of |V - a_+-| (inf when V reaches its limit exactly).
+                 of |V - a_+-| (inf when V reaches its limits below 1e-30;
+                 ``summary.json`` writes that inf as null, since JSON has
+                 no Infinity).
     """
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n_points,):

@@ -57,7 +57,6 @@ from .grid import (
     ComplexField,
     _lp_rows,
     h1_norm_sq,
-    inner_product,
     l2_norm_sq,
     lp_norm,
     translate,
@@ -335,14 +334,14 @@ def _median_field(stack: np.ndarray) -> np.ndarray:
     return _median(stack.real) + 1j * _median(stack.imag)
 
 
-def _split_half_coherence(stack: np.ndarray, grid) -> float:
+def _split_half_coherence(stack: np.ndarray, dx: float) -> float:
+    """|<a, b>| / (|a| |b|) for the medians a, b of the stack's two halves."""
     half = stack.shape[0] // 2
-    a = ComplexField(grid, _median_field(stack[:half]))
-    b = ComplexField(grid, _median_field(stack[half:]))
-    na, nb = l2_norm_sq(a) ** 0.5, l2_norm_sq(b) ** 0.5
+    a, b = _median_field(stack[:half]), _median_field(stack[half:])
+    na, nb = (float(np.sum(v.real**2 + v.imag**2) * dx) ** 0.5 for v in (a, b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return abs(inner_product(a, b)) / (na * nb)
+    return abs(complex(np.sum(a * np.conj(b)) * dx)) / (na * nb)
 
 
 def greedy_profile_decomposition(
@@ -418,7 +417,7 @@ def greedy_profile_decomposition(
 
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
-        coherence = _split_half_coherence(recentred, grid)
+        coherence = _split_half_coherence(recentred, grid.dx)
         if cand_norm < stop_level or coherence < COHERENCE_THRESHOLD:
             break
         if not profiles:

@@ -142,10 +142,6 @@ class Trajectory:
             raise InsufficientDataError(f"no snapshot at t={t}")
         return self.fields[idx]
 
-    @property
-    def final_field(self) -> ComplexField:
-        return self.fields[-1]
-
 
 def solve(problem: NlsProblem) -> Trajectory:
     """Integrate the problem, recording snapshots at the requested times."""

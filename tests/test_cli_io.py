@@ -33,6 +33,14 @@ edge_reals = st.one_of(
 )
 
 
+def _strict_json(path):
+    """The parsed file, refusing the NaN, Infinity and -Infinity that JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def _checkpoint_bytes(n_points, length, version=1, magic=b"SNLS"):
     """A checkpoint file with the given header and an all-zero payload."""
     return struct.pack("<4sIQdd", magic, version, n_points, length, 0.0) + bytes(16 * n_points)
@@ -272,6 +280,8 @@ class TestExperiments:
         assert len(names) == (6 if experiment == "sweep" else 2)
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+            if name.name == "summary.json":
+                _strict_json(d1 / name)
 
     def test_no_run_imports_numpy_random_or_ma(self, tmp_path):
         # in a fresh interpreter, since pytest's own imports load both
@@ -337,6 +347,9 @@ class TestExperiments:
         summary = run(cfg, output_dir=tmp_path / "chk")
         assert summary["all_ok"] is True
         assert summary["hypotheses"]["repulsive"] is True
+        # V reaches its limits below 1e-30, so the exponent is inf, written as null
+        assert _strict_json(tmp_path / "chk" / "summary.json")["hypotheses"][
+            "measured_exponent"] is None
 
     def test_linear_channels_unit_potential(self, tmp_path):
         cfg = parse_config_text(
@@ -798,6 +811,48 @@ class TestCli:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert not entered
+
+    @pytest.mark.parametrize("t_min", ["0.0", "-1.0", "1e-13"])
+    def test_morawetz_t_min_must_select_only_positive_times(self, tmp_path, t_min):
+        # the weight sqrt(t^2 + x^2) vanishes at t = x = 0, and the doubling
+        # increments never end from t_min <= 0; the subprocess's timeout
+        # turns a hang into a failure instead of a stalled suite
+        text = MORAWETZ_CFG.replace("solver.t_final = 16.0", "solver.t_final = 2.0")
+        cfg = self._write_cfg(tmp_path, text + f"morawetz.t_min = {t_min}\n")
+        src = str(Path(snls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "snls.cli", "morawetz", "--config", str(cfg),
+             "--output-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParameterError"
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("experiment, settings, key", [
+        ("decay", "decay.t_min = 0.0", "decay.t_min"),
+        ("decay", "decay.t_max = 0.0", "decay.t_max"),
+        ("decay", "decay.num = -1", "decay.num"),
+        ("profiles", "profiles.fixture = one_bump\nprofiles.count = -1", "profiles.count"),
+    ], ids=["decay.t_min", "decay.t_max", "decay.num", "profiles.count"])
+    def test_config_number_out_of_range_exit_2(self, tmp_path, capsys, experiment, settings, key):
+        # unchecked, each reaches numpy (geomspace, rng.uniform) and raises
+        # a ValueError, which exits 1 with a traceback
+        cfg = self._write_cfg(
+            tmp_path, f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"propagator.dt = 0.05\ninitial.kind = gaussian\n{settings}\n",
+        )
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not out.exists()
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         code = main(["evolve", "--config", str(tmp_path / "nope.cfg")])

@@ -95,10 +95,6 @@ class TestExponents:
         assert ex.p == pytest.approx(9.6, rel=1e-15)
         assert ex.q == pytest.approx(Fraction(48, 19), rel=1e-15)
 
-    def test_conjugate_consistency(self):
-        ex = snls.exponents(5.0)
-        assert 1.0 / ex.q + 1.0 / ex.q_prime == pytest.approx(1.0, rel=1e-15)
-
     @pytest.mark.parametrize("alpha", [4.1, 4.5, 5.0, 6.0, 8.0, 10.0])
     def test_ordering(self, alpha):
         ex = snls.exponents(alpha)
@@ -284,6 +280,13 @@ class TestMorawetz:
         )
         with pytest.raises(ParameterError):
             snls.morawetz_report(traj, vprime=vp)
+
+    @pytest.mark.parametrize("t_min", [0.0, -1.0, 1e-13])
+    def test_t_min_must_select_only_positive_times(self, dyadic_trajectory, t_min):
+        # the weight sqrt(t^2 + x^2) vanishes at t = x = 0
+        traj, vp = dyadic_trajectory
+        with pytest.raises(ParameterError, match="t > 0"):
+            snls.morawetz_report(traj, t_min=t_min, vprime=vp)
 
     def test_linear_residual_small_and_second_order(self):
         # smooth steplike potential: the only residual is time differencing

@@ -153,7 +153,7 @@ class TestSolve:
                             dt=1e-3, t_final=5.0)
         )
         free = snls.evolve_free(u0, 5.0)
-        assert l2_dist(traj.final_field, free) < 1e-4
+        assert l2_dist(traj.fields[-1], free) < 1e-4
 
     def test_time_reversal(self, setup):
         # backward integration realized through the conjugation symmetry:
@@ -161,9 +161,9 @@ class TestSolve:
         g, v = setup
         u0 = snls.gaussian_packet(g)
         fwd = snls.solve(make_problem(g, v, u0, dt=1e-3, t_final=1.0))
-        w0 = snls.ComplexField(g, np.conj(fwd.final_field.values))
+        w0 = snls.ComplexField(g, np.conj(fwd.fields[-1].values))
         bwd = snls.solve(make_problem(g, v, w0, dt=1e-3, t_final=1.0))
-        recovered = snls.ComplexField(g, np.conj(bwd.final_field.values))
+        recovered = snls.ComplexField(g, np.conj(bwd.fields[-1].values))
         assert l2_dist(recovered, u0) < 1e-8
 
     def test_linear_mode_matches_propagator(self, setup):
@@ -171,7 +171,7 @@ class TestSolve:
         u0 = snls.gaussian_packet(g)
         traj = snls.solve(make_problem(g, v, u0, dt=1e-2, t_final=1.0, linear=True))
         p = snls.PerturbedPropagator(g, v, dt=1e-2)
-        assert l2_dist(traj.final_field, p.evolve(u0, 1.0)) < 1e-13
+        assert l2_dist(traj.fields[-1], p.evolve(u0, 1.0)) < 1e-13
 
     def test_sup_norm_with_conserved_quantity_bound(self, setup):
         g, v = setup
@@ -270,7 +270,7 @@ class TestStackedSolve:
             solve_stack(problems)
         # each other row alone runs clean
         for p in problems[::2]:
-            assert np.isfinite(snls.solve(p).final_field.values).all()
+            assert np.isfinite(snls.solve(p).fields[-1].values).all()
 
     def test_rows_must_share_the_flow(self, setup):
         g, v = setup
