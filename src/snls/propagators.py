@@ -19,6 +19,10 @@ perturbed group exp(i*t*(dxx - V)) is realized two independent ways:
   reference oracle for the splitting; it is capped at 1024 points because
   it is dense.
 
+A constant V = c needs neither: the splitting path then applies
+exp(-i*t*(xi^2 + c)), the exact flow, as one multiplier per time, with no
+lattice and no substeps.
+
 Both realizations conserve the V-weighted H1 functional of the linear
 conservation law: exactly (up to roundoff) for the eigendecomposition, and
 with O(h^2) drift for the splitting.
@@ -61,12 +65,18 @@ def _check_time(t: float):
         raise ParameterError(f"evolution time must be finite, got {t!r}")
 
 
+def _multiplier(xi2: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*t*xi2): the free group at time t for xi2 = xi^2, and the flow of a
+    constant V = c for xi2 = xi^2 + c."""
+    return np.exp(-1j * t * xi2)
+
+
 def evolve_free(f: ComplexField, t: float) -> ComplexField:
     """exp(i*t*dxx) f via the multiplier exp(-i*t*xi^2)."""
     _check_time(t)
     if t == 0.0:
         return f.copy()
-    mult = np.exp(-1j * t * f.grid.wavenumbers**2)
+    mult = _multiplier(f.grid.wavenumbers**2, t)
     return ComplexField(f.grid, np.fft.ifft(mult * np.fft.fft(f.values)))
 
 
@@ -101,6 +111,13 @@ def substep_sizes(t: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
+def _signed_substeps(span: float, dt: float):
+    """The substeps of ``substep_sizes(span, dt)``, signed as span, walked lazily."""
+    n_full, rem = substep_sizes(span, dt)
+    rest = (math.copysign(rem, span),) if rem else ()
+    return itertools.chain(itertools.repeat(math.copysign(dt, span), n_full), rest)
+
+
 def _frozen_potential(v, grid: Grid) -> np.ndarray:
     """A read-only copy of potential samples v, checked to be finite on the grid."""
     v = np.array(v, dtype=float)
@@ -125,7 +142,7 @@ def strang_rules(grid: Grid, v: np.ndarray, dt: float, alpha=None):
     kinetic(h) = exp(-i*h*xi^2) / N folds in the inverse transform's 1/N,
     exact because ``Grid`` makes N a power of two."""
     xi2, n_points = grid.wavenumbers**2, grid.n_points
-    kinetic = substep_cache(lambda h: np.exp(-1j * h * xi2) / n_points, dt)
+    kinetic = substep_cache(lambda h: _multiplier(xi2, h) / n_points, dt)
     return kinetic, local_phase(v, alpha, dt)
 
 
@@ -222,23 +239,24 @@ def strang(u: np.ndarray, spans, dt: float, kinetic, phase):
     # than the comparison itself, on every step
     passed = np.ndarray.all if u.ndim > 1 else bool
     for span in spans:
-        n_full, rem = substep_sizes(span, dt)
-        steps = [math.copysign(dt, span)] * n_full + ([math.copysign(rem, span)] if rem else [])
-        for k, (h_prev, h) in enumerate(itertools.pairwise([0.0] + steps + [0.0])):
+        phases = itertools.pairwise(itertools.chain((0.0,), _signed_substeps(span, dt), (0.0,)))
+        for k, (h_prev, h) in enumerate(phases):
             amax = phase(u, 0.5 * (h_prev + h))
             if amax is not None and not h:
                 amax = np.abs(u).max(axis=-1)
             if amax is not None and not passed(amax < math.inf):
                 row = int(np.argmin(np.ravel(amax) < math.inf))
                 where = f" in row {row}" if u.ndim > 1 else ""
+                t_k = t + sum(itertools.islice(_signed_substeps(span, dt), k))
                 raise InstabilityError(
                     f"sup|u| = {np.ravel(amax)[row]:.3e}{where} passed the guard at step "
-                    f"{n_done + k}, t={t + sum(steps[:k]):.6g}, dt={dt:g}; reduce dt"
+                    f"{n_done + k}, t={t_k:.6g}, dt={dt:g}; reduce dt"
                 )
             if h:
                 np.multiply(np.fft.fft(u, out=buf), kinetic(h), out=buf)
                 np.fft.ifft(buf, out=u, norm="forward")
-        t, n_done = t + span, n_done + len(steps)
+        # the span's last phase is its closing half phase, after its k substeps
+        t, n_done = t + span, n_done + k
         yield u
 
 
@@ -297,6 +315,9 @@ class PerturbedPropagator:
         self.dt = float(dt)
         self._eig = None
         self._rules = strang_rules(grid, v, self.dt)
+        # a constant V = c is the one multiplier exp(-i*t*(xi^2 + c)) per time
+        flat = method == "strang_splitting" and np.all(v == v[0])
+        self._flat_xi2 = grid.wavenumbers**2 + v[0] if flat else None
 
     def _eigensystem(self):
         if self._eig is None:
@@ -312,7 +333,8 @@ class PerturbedPropagator:
 
         One kernel sweep over the times' lattice points, or one projection
         onto the eigenbasis; each yield is ``evolve(f, t_k)`` at roundoff,
-        whatever other times were requested.
+        whatever other times were requested.  A constant V is one Fourier
+        multiplier per time, exact in time and with no lattice.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or not np.all(np.isfinite(times)):
@@ -324,12 +346,20 @@ class PerturbedPropagator:
     def _flow(self, u: np.ndarray, times, start: float = 0.0) -> Iterator[np.ndarray]:
         """The flow of raw samples u at ``start``, shape (N,) or a (B, N) stack, at each time.
 
-        Unchecked: the caller validates u and the times, and puts ``start``
-        on the dt lattice.  The splitting path sweeps the times' lattice
-        points (``substep_sizes``, signed) in one kernel call and yields its
-        buffer there, or one remainder substep on a copy off the lattice;
-        ``np.fft`` works along the last axis, so each row is its own flow.
+        Unchecked: the caller validates u and the times, puts ``start`` on
+        the dt lattice, and leaves u unchanged while it reads the flow.  For
+        a constant V = c the flow is exact in time, with no lattice: one FFT
+        of u, then ifft(exp(-i*(t - start)*(xi^2 + c)) * fft(u)) at each
+        time, and a copy of u at t = start.  Otherwise the splitting path
+        sweeps the times' lattice points (``substep_sizes``, signed) in one
+        kernel call and yields its buffer there, or one remainder substep on
+        a copy off the lattice.  ``np.fft`` works along the last axis, so
+        each row is its own flow.
         """
+        if self._flat_xi2 is not None:
+            uhat = np.fft.fft(u)
+            return (u.copy() if t == start
+                    else np.fft.ifft(_multiplier(self._flat_xi2, t - start) * uhat) for t in times)
         if self.method == "eigendecomposition":
             energies, modes = self._eigensystem()
             coeff = _real_matmul(u, modes)

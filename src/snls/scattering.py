@@ -50,6 +50,7 @@ import numpy as np
 from .diagnostics import _median, exponents, h1v_norm_sq
 from .errors import (
     DomainError,
+    GridMismatchError,
     InsufficientDataError,
     ParameterError,
 )
@@ -374,6 +375,8 @@ def greedy_profile_decomposition(
     for f in fields:
         if not f.grid.same_as(grid):
             raise ParameterError("ensemble members must share one grid")
+    if not grid.same_as(p.grid):
+        raise GridMismatchError("ensemble and propagator grids differ")
 
     k_ens = len(fields)
     residue = np.stack([f.values for f in fields])

@@ -6,7 +6,7 @@ import pytest
 
 import snls
 from snls.errors import CapabilityError, GridMismatchError, ParameterError
-from snls.propagators import substep_sizes
+from snls.propagators import strang, strang_rules, substep_sizes
 
 from conftest import l2_dist, random_field
 
@@ -168,6 +168,41 @@ class TestPerturbed:
         shifted = snls.evolve_shifted(f, 1.0)
         strang = snls.PerturbedPropagator(grid_small, np.ones(256), dt=1e-2).evolve(f, 1.0)
         assert l2_dist(strang, shifted) < 1e-12
+
+    def test_zero_potential_splitting_kernel_reduces_to_free(self, grid_small):
+        # the propagator applies a constant V as one multiplier; the kernel
+        # itself must still be exact there
+        f = snls.gaussian_packet(grid_small)
+        rules = strang_rules(grid_small, np.zeros(256), 1e-2)
+        u = next(strang(f.values.copy(), (1.0,), 1e-2, *rules))
+        assert l2_dist(snls.ComplexField(grid_small, u), snls.evolve_free(f, 1.0)) < 1e-12
+
+    def test_unit_potential_splitting_kernel_reduces_to_shifted(self, grid_small):
+        f = snls.gaussian_packet(grid_small)
+        rules = strang_rules(grid_small, np.ones(256), 1e-2)
+        u = next(strang(f.values.copy(), (1.0,), 1e-2, *rules))
+        assert l2_dist(snls.ComplexField(grid_small, u), snls.evolve_shifted(f, 1.0)) < 1e-12
+
+    def test_strang_lists_no_substeps(self):
+        # a span of 10^6 substeps: the kernel walks them lazily, so nothing
+        # proportional to their number is held when the first phase runs
+        g = snls.Grid(16, 10.0)
+        kinetic, _ = strang_rules(g, np.zeros(16), 1e-4)
+
+        class FirstPhase(Exception):
+            pass
+
+        def phase(u, tau):
+            raise FirstPhase
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstPhase):
+                next(strang(np.zeros(16, dtype=complex), (100.0,), 1e-4, kinetic, phase))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a list of the substeps alone is 8 MB
 
     def test_strang_vs_eigendecomposition(self, barrier):
         g, v = barrier

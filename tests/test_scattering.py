@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import snls
 from snls import scattering
-from snls.errors import DomainError, InsufficientDataError, ParameterError
+from snls.errors import DomainError, GridMismatchError, InsufficientDataError, ParameterError
 from snls.grid import translate
 from snls.scattering import _median_field
 
-from conftest import l2_dist
+from conftest import l2_dist, random_field
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,17 @@ class TestProfileDecomposition:
         for window in ({"t_step": 0.0}, {"t_step": -0.1}, {"t_window": -5.0}, {"t_window": np.inf}):
             with pytest.raises(ParameterError):
                 snls.greedy_profile_decomposition([base, base, base], p, 1, 7.0, **window)
+
+    @pytest.mark.parametrize("field_grid", [snls.Grid(256, 80.0), snls.Grid(512, 40.0)],
+                             ids=["other_length", "other_size"])
+    def test_propagator_on_another_grid_is_refused(self, field_grid):
+        # on another length the sweep would run with the wrong wavenumbers and
+        # V; on another size it would fail to broadcast
+        rng = np.random.default_rng(5)
+        fields = [random_field(field_grid, rng, smooth=False) for _ in range(6)]
+        p = snls.PerturbedPropagator(snls.Grid(256, 40.0), np.zeros(256), dt=0.05)
+        with pytest.raises(GridMismatchError):
+            snls.greedy_profile_decomposition(fields, p, j_max=2, q_exponent=7.0)
 
     def test_pythagorean_defects_place_the_last_member(self):
         # on a steplike V the H1_V norm of a placed profile depends on x_n and

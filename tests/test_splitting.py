@@ -15,6 +15,9 @@ same flow run on a (B, N) stack of rows must reproduce each row's own
 sweep, and so must the profile search that runs its ensemble as one stack.
 The nonlinear kernel on a stack with one power per row must reproduce each
 row's own run bit for bit, and so must an ``evolve`` sweep run in stacks.
+A constant V is one Fourier multiplier per time; that flow must agree
+with the splitting kernel driven directly, and a V that is constant but
+for one sample must still take the lattice sweep.
 """
 
 import tempfile
@@ -316,6 +319,61 @@ def test_stacked_flow_is_per_row_evolve_through(method, n_exp, height, dt, times
                 assert np.array_equal(u[n], f.values)
             else:
                 assert rel_l2(u[n], f.values) <= TOL
+
+
+constants = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+def stack_of(grid, seed, count):
+    """count packets as a (count, N) stack, or one (N,) packet for count 0."""
+    return packets(grid, seed, count) if count else packets(grid, seed, 1)[0]
+
+
+@examples
+@given(grids, constants, st.floats(5e-3, 0.1), st.integers(-20, 20), time_lists,
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_constant_potential_flow_is_one_multiplier(n_exp, c, dt, m, times, count, seed):
+    # signed, repeated times off the lattice, from a lattice start other than 0
+    grid = snls.Grid(2**n_exp, 30.0)
+    v = np.full(grid.n_points, c)
+    p = snls.PerturbedPropagator(grid, v, dt=dt)
+    start = m * dt
+    times = np.array([*times, start])
+    u = stack_of(grid, seed, count)
+    rules = strang_rules(grid, v, dt)
+    # each yield is read before the next, as a lattice sweep requires
+    for t, w in zip(times, p._flow(u, times, start), strict=True):
+        kernel = next(strang(u.copy(), (t - start,), dt, *rules))
+        assert rel_l2(w, kernel) <= TOL
+        if t == start:
+            assert np.array_equal(w, u) and not np.shares_memory(w, u)
+        else:
+            exact = np.fft.ifft(np.exp(-1j * (t - start) * (grid.wavenumbers**2 + c))
+                                * np.fft.fft(u))
+            assert np.array_equal(w, exact)
+    for n in range(count):
+        for w, alone in zip(p._flow(u, times, start), p._flow(u[n], times, start)):
+            assert np.array_equal(w[n], alone)
+
+
+@examples
+@given(grids, constants, st.floats(0.1, 1.0), st.data(), st.floats(5e-3, 0.1),
+       st.integers(-20, 20), st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_potential_constant_but_one_sample_takes_the_lattice(n_exp, c, bump, data, dt, m, ks,
+                                                             count, seed):
+    # lattice times from a lattice start: the sweep is one strang call over
+    # the gaps, so the flow must be that call bit for bit
+    grid = snls.Grid(2**n_exp, 30.0)
+    v = np.full(grid.n_points, c)
+    v[data.draw(st.integers(0, grid.n_points - 1))] += bump
+    p = snls.PerturbedPropagator(grid, v, dt=dt)
+    u = stack_of(grid, seed, count)
+    flows = [w.copy() for w in p._flow(u, [(m + k) * dt for k in ks], m * dt)]
+    swept = strang(u.copy(), np.diff([m, *(m + k for k in ks)]) * dt, dt,
+                   *strang_rules(grid, v, dt))
+    for w, kernel in zip(flows, swept, strict=True):
+        assert np.array_equal(w, kernel)
 
 
 def test_profile_search_is_per_member_search_on_eigendecomposition():
