@@ -288,8 +288,8 @@ def _morawetz_times(times: np.ndarray, time_derivative: str, t_min: float) -> np
 def _morawetz_window(problem, times, values, time_derivative, vprime) -> MorawetzReport:
     """The identity on the raw snapshot arrays ``values`` at the checked ``times``.
 
-    The snapshots pass through a window of three: each one's derivative and
-    momentum bracket are computed when the loop first needs them and
+    The snapshots pass through a window of three: each one's derivative,
+    lambda, a and bracket are computed once, when the loop first needs them, and
     dropped when it moves past, and each interior snapshot's terms are
     reduced to numbers before the next one is read.
     """
@@ -302,19 +302,17 @@ def _morawetz_window(problem, times, values, time_derivative, vprime) -> Morawet
     nl_weight = 0.0 if problem.linear else 1.0
 
     def derivative_and_bracket(u, t):
-        """du and a*Im(conj(u)*du) - t*|u|^2/lambda, the time-differenced bracket."""
+        """(du, lambda, a) and a*Im(conj(u)*du) - t*|u|^2/lambda, the differenced bracket."""
         du = _derivative(u, xi)
         lam = np.sqrt(t * t + x * x)
         a = -2.0 * x / lam
-        return du, a * np.imag(np.conj(u) * du) - t * (np.abs(u) ** 2) / lam
+        return (du, lam, a), a * np.imag(np.conj(u) * du) - t * (np.abs(u) ** 2) / lam
 
-    def terms(t, u_prev, u, u_next, du, dt_bracket):
+    def terms(t, u_prev, u, u_next, du, lam, a, dt_bracket):
         """Density, residual L1 norm, repulsive term and its least value at t."""
         dens = np.abs(u) ** 2
         dens_nl = dens ** ((alpha + 2.0) / 2.0)
 
-        lam = np.sqrt(t * t + x * x)
-        a = -2.0 * x / lam
         g = -(t * t) / lam**3 - 1j * t / lam
         m = a * du + g * u
         re_dg = 3.0 * t * t * x / lam**5
@@ -348,13 +346,13 @@ def _morawetz_window(problem, times, values, time_derivative, vprime) -> Morawet
     values = iter(values)
     u_prev, u = next(values), next(values)
     _, bracket_prev = derivative_and_bracket(u_prev, times[0])
-    du, bracket = derivative_and_bracket(u, times[1])
+    local, bracket = derivative_and_bracket(u, times[1])
     rows = []
     for t, t_next, u_next in zip(times[1:-1], times[2:], values):
-        du_next, bracket_next = derivative_and_bracket(u_next, t_next)
+        local_next, bracket_next = derivative_and_bracket(u_next, t_next)
         dt_bracket = (bracket_next - bracket_prev) / (2.0 * h)
-        rows.append(terms(float(t), u_prev, u, u_next, du, dt_bracket))
-        u_prev, u, du = u, u_next, du_next
+        rows.append(terms(float(t), u_prev, u, u_next, *local, dt_bracket))
+        u_prev, u, local = u, u_next, local_next
         bracket_prev, bracket = bracket, bracket_next
 
     out_t = times[1:-1]

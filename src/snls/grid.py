@@ -169,11 +169,15 @@ def _derivative(v: np.ndarray, xi: np.ndarray, order: int = 1) -> np.ndarray:
     return np.fft.ifft((1j * xi) ** order * np.fft.fft(v))
 
 
+def _shift(v: np.ndarray, xi: np.ndarray, s) -> np.ndarray:
+    """Raw samples of v(x - s), ifft(exp(-i*xi*s) * fft(v)) along the last axis, for one
+    shift s or a (B,) array of them, one per row: each row is its own one-shift call."""
+    return np.fft.ifft(np.exp(-1j * xi * np.expand_dims(s, -1)) * np.fft.fft(v))
+
+
 def translate(f: ComplexField, shift: float) -> ComplexField:
-    """tau_s f(x) = f(x - s), realized as the Fourier phase exp(-i*xi*s)."""
-    v = f.values
-    phase = np.exp(-1j * f.grid.wavenumbers * shift)
-    return ComplexField(f.grid, np.fft.ifft(phase * np.fft.fft(v)))
+    """tau_s f(x) = f(x - s), realized as the Fourier phase exp(-i*xi*s) (``_shift``)."""
+    return ComplexField(f.grid, _shift(f.values, f.grid.wavenumbers, shift))
 
 
 BOUNDARY_WARN_FRACTION = 0.01  # boundary mass fraction past which wrap-around is reported

@@ -102,8 +102,6 @@ def substep_sizes(t: float, dt: float) -> tuple[int, float]:
     if dt <= 0:
         raise ParameterError("substep dt must be > 0")
     mag = abs(t)
-    if mag == 0.0:
-        return 0, 0.0
     n_full = int(math.floor(mag / dt + 1e-12))
     rem = mag - n_full * dt
     if rem <= 1e-12 * max(mag, dt):
@@ -155,11 +153,11 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     shape.  alpha=None: the linear exp(-i*tau*V), which reads no sup and
     returns None.
 
-    A quintic row whose rotation theta = |tau| * sup|u|^5 is at most
-    SMALL_ROTATION is multiplied by the cached exp(-i*tau*V) and then by
-    1 + i*theta_x, theta_x = -tau*|u|^5 with |u|^5 = d*d*sqrt(d), with no
-    cos or sin.  A stack with such a row runs row by row, so each row is
-    still bit for bit its own (N,) run.
+    Each call computes every row's rotation theta = |tau| * sup(d)**(alpha/2).
+    A quintic row with theta <= SMALL_ROTATION is multiplied by the cached
+    exp(-i*tau*V) and then by 1 + i*theta_x, theta_x = -tau*|u|^5 with
+    |u|^5 = d*d*sqrt(d), with no cos or sin.  A stack with such a row runs
+    row by row, so each row is still bit for bit its own (N,) run.
     """
     mult = substep_cache(lambda h: np.exp(-1j * h * v), dt)
     if alpha is None:
@@ -173,15 +171,9 @@ def local_phase(v: np.ndarray, alpha, dt: float):
     # rot holds 1 + i*theta_x below the bound: only its imaginary part is written
     ph, rot = np.empty(shape, dtype=np.complex128), np.ones(shape, dtype=np.complex128)
     half_alpha = 0.5 * alpha
-    # per row and tau, the largest sup|u|^2 whose rotation |tau| * sup|u|^5
-    # is within SMALL_ROTATION; -1 for a row that is not quintic
-    quintic = np.reshape(half_alpha, shape[:-1]) == 2.5
-
-    def bound(tau):
-        b = np.where(quintic, (SMALL_ROTATION / abs(tau)) ** 0.4 if tau else math.inf, -1.0)
-        return b if b.ndim else float(b)
-
-    small_bound = substep_cache(bound, dt)
+    # alpha/2 per row; [()] makes an (N,) rule's a scalar, cheaper than a 0-d array
+    half_rows = np.reshape(half_alpha, shape[:-1])[()]
+    quintic = half_rows == 2.5
 
     def turn(u, d, tmp, ph, rot, half_alpha, tau, small):
         """u *= exp(-i*tau*(V + d**half_alpha)), by 1 + i*theta_x if small."""
@@ -205,7 +197,8 @@ def local_phase(v: np.ndarray, alpha, dt: float):
         np.multiply(u.imag, u.imag, out=tmp)
         np.add(d, tmp, out=d)
         dmax = d.max(axis=-1)
-        small = dmax <= small_bound(tau)
+        theta = abs(tau) * dmax**half_rows
+        small = quintic & (theta <= SMALL_ROTATION)
         if u.ndim == 1:
             turn(u, d, tmp, ph, rot, half_alpha, tau, small)
         elif not small.any():

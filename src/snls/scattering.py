@@ -57,6 +57,7 @@ from .errors import (
 from .grid import (
     ComplexField,
     _lp_rows,
+    _shift,
     h1_norm_sq,
     l2_norm_sq,
     lp_norm,
@@ -378,7 +379,6 @@ def greedy_profile_decomposition(
     if not grid.same_as(p.grid):
         raise GridMismatchError("ensemble and propagator grids differ")
 
-    k_ens = len(fields)
     residue = np.stack([f.values for f in fields])
     stop_level = STOP_RATIO * max(l2_norm_sq(f) ** 0.5 for f in fields)
     beta = 1.0 - 2.0 / q_exponent  # embedding exponent at d = 1
@@ -399,8 +399,8 @@ def greedy_profile_decomposition(
             break  # no candidate can reach the stop level
         # sweep the window of every member at once, keeping per member the
         # earliest state of largest Lq norm
-        best_q = np.full(k_ens, -1.0)
-        t_shifts = np.empty(k_ens)
+        best_q = np.full(len(fields), -1.0)
+        t_shifts = np.empty(len(fields))
         best = np.empty_like(residue)
         for times, beats in legs:
             for t, states in zip(times, p._flow(residue, times)):
@@ -413,10 +413,9 @@ def greedy_profile_decomposition(
         lam_est = l2_norm_sq(ComplexField(grid, first_pass)) ** 0.5
         radius = float(np.clip(lam_est ** (-beta) if lam_est > 0 else 1.0, 0.5, 8.0))
 
-        # recentre each member at its smoothed peak x_n: ``translate``'s phase for -x_n
+        # recentre each member at its smoothed peak x_n
         x_shifts = grid.x[np.argmax(np.abs(_lowpass(best, grid, radius)), axis=-1)]
-        phase = np.exp(-1j * grid.wavenumbers * -x_shifts[:, None])
-        recentred = np.fft.ifft(phase * np.fft.fft(best))
+        recentred = _shift(best, grid.wavenumbers, -x_shifts)
 
         candidate = ComplexField(grid, _median_field(recentred))
         cand_norm = l2_norm_sq(candidate) ** 0.5
@@ -427,14 +426,14 @@ def greedy_profile_decomposition(
             concentration_level = cand_norm
 
         profiles.append(Profile(psi=candidate, t_shifts=t_shifts, x_shifts=x_shifts))
-        for n in range(k_ens):
-            # v_n <- v_n - exp(-i t_n (dxx-V)) tau_{x_n} psi
-            placed = translate(candidate, x_shifts[n])
-            removed = p.evolve(placed, -t_shifts[n])
-            residue[n] -= removed.values
+        # v_n <- v_n - exp(-i t_n (dxx-V)) tau_{x_n} psi, placed in every member at once
+        placed = _shift(candidate.values, grid.wavenumbers, x_shifts)
+        for row, u, t in zip(residue, placed, t_shifts):
+            removed = next(p._flow(u, (-t,)))
+            row -= removed
         # the defects are taken at the last member, whose placement the loop ends on
-        h1v_terms.append(h1v_norm_sq(placed, p.v))
-        lq_terms.append(lp_norm(removed, q) ** q)
+        h1v_terms.append(h1v_norm_sq(ComplexField(grid, placed[-1]), p.v))
+        lq_terms.append(float(_lp_rows(removed, q, grid.dx)) ** q)
 
     remainder = ComplexField(grid, residue[-1])
     last = fields[-1]

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import snls
 from snls.errors import InvalidFieldError, ParameterError
-from snls.grid import _derivative, _spectral_form
+from snls.grid import _derivative, _shift, _spectral_form
 
 from conftest import l2_dist, random_field
 
@@ -157,6 +159,20 @@ class TestTranslate:
         f = snls.gaussian_packet(grid_medium, momentum=1.5)
         back = snls.translate(snls.translate(f, 3.7), -3.7)
         assert l2_dist(back, f) < 1e-12
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_one_shift_for_fields_and_stacks(self, shifts, seed):
+        # a stack shifted row by row, and one field placed once per shift
+        grid = snls.Grid(64, 20.0)
+        rng = np.random.default_rng(seed)
+        rows = [random_field(grid, rng) for _ in shifts]
+        stacked = _shift(np.stack([f.values for f in rows]), grid.wavenumbers, np.array(shifts))
+        placed = _shift(rows[0].values, grid.wavenumbers, np.array(shifts))
+        for f, s, row, place in zip(rows, shifts, stacked, placed, strict=True):
+            assert np.array_equal(row, snls.translate(f, s).values)
+            assert np.array_equal(place, snls.translate(rows[0], s).values)
+            assert np.array_equal(_shift(f.values, grid.wavenumbers, s), row)
 
 
 class TestMonitors:

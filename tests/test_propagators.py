@@ -107,7 +107,8 @@ class TestSubsteps:
         assert rem == pytest.approx(0.05, rel=1e-12)
 
     def test_zero(self):
-        assert substep_sizes(0.0, 0.1) == (0, 0.0)
+        for t in (0.0, -0.0):
+            assert substep_sizes(t, 0.1) == (0, 0.0)
 
     def test_bad_dt(self):
         with pytest.raises(ParameterError):

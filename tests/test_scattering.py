@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import snls
 from snls import scattering
+from snls.config import parse_config_text
 from snls.errors import DomainError, GridMismatchError, InsufficientDataError, ParameterError
+from snls.experiments import _profile_fixture
 from snls.grid import translate
 from snls.scattering import _median_field
 
@@ -320,6 +322,28 @@ class TestProfileDecomposition:
         assert np.array_equal(res.remainder.values, full.remainder.values)
         assert res.concentration_level == full.concentration_level
         assert res.pythagorean_defects == full.pythagorean_defects
+
+    def test_no_field_per_member(self, monkeypatch):
+        # the ensemble is placed and pulled back as raw rows: doubling the
+        # members leaves the number of ComplexField constructions as it is
+        g = snls.Grid(256, 80.0)
+        p = snls.PerturbedPropagator(g, np.zeros(g.n_points), dt=0.05)
+        init, counts = snls.ComplexField.__post_init__, []
+
+        def counted(f):
+            counts[-1] += 1
+            init(f)
+
+        for count in (4, 8):
+            cfg = parse_config_text(f"profiles.fixture = two_bump\nprofiles.count = {count}\n")
+            family = _profile_fixture(cfg, g)
+            counts.append(0)
+            monkeypatch.setattr(snls.ComplexField, "__post_init__", counted)
+            res = snls.greedy_profile_decomposition(family, p, j_max=4, q_exponent=7.0,
+                                                    t_window=2.0)
+            monkeypatch.undo()
+            assert len(res.profiles) == 2
+        assert counts[0] == counts[1]
 
     def test_times_before_zero_are_found(self):
         g = snls.Grid(256, 40.0)

@@ -12,7 +12,9 @@ times in one sweep; it must reproduce one ``evolve`` call per time to
 roundoff on the splitting path, and chained ``evolve`` calls to roundoff on
 the eigendecomposition path.  The
 same flow run on a (B, N) stack of rows must reproduce each row's own
-sweep, and so must the profile search that runs its ensemble as one stack.
+sweep, and so must the profile search that runs its ensemble as one stack:
+on the splitting path its profiles, remainder and defects are those of a
+per-member ``translate`` + ``evolve`` loop, bit for bit.
 The nonlinear kernel on a stack with one power per row must reproduce each
 row's own run bit for bit, and so must an ``evolve`` sweep run in stacks.
 A constant V is one Fourier multiplier per time; that flow must agree
@@ -217,6 +219,36 @@ def test_stacked_small_rotation_phase_is_per_row_phase(seed, rows, tau):
         assert np.array_equal(out[k], alone)
 
 
+def test_small_rotation_rule_holds_at_its_bound():
+    # sup|u| is set so that theta = |tau| * sup|u|^5 = 9.999999999999999e-09,
+    # within SMALL_ROTATION by one ulp; here the two forms differ bit for bit
+    n, tau = 1024, 2.0**-11
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u *= 0.11 / np.abs(u).max()
+    u[10] = 0.11541599247257708
+    v = rng.uniform(0.0, 2.0, n)
+    d = u.real * u.real + u.imag * u.imag
+    assert abs(tau) * d.max() ** 2.5 == 9.999999999999999e-09 <= SMALL_ROTATION
+    rot = np.ones(n, dtype=np.complex128)
+    rot.imag = d * d * np.sqrt(d) * -tau
+    small = (u * np.exp(-1j * tau * v)) * rot
+    assert not np.array_equal(small, cos_sin_phase(u, v, 5.0, tau))
+    out = u.copy()
+    local_phase(v, 5.0, 0.01)(out, tau)
+    assert np.array_equal(out, small)
+
+    # the same row in a stack, beside a non-quintic row and a large-rotation row
+    members, alphas = (u, u, 10.0 * u), np.array([[4.5], [5.0], [5.0]])
+    stack = np.stack(members)
+    local_phase(v, alphas, 0.01)(stack, tau)
+    assert np.array_equal(stack[1], small)
+    for row, (alpha,), member in zip(stack, alphas, members):
+        alone = member.copy()
+        local_phase(v, alpha, 0.01)(alone, tau)
+        assert np.array_equal(row, alone)
+
+
 
 def _repeat(times, k):
     k %= len(times)
@@ -377,9 +409,16 @@ def test_potential_constant_but_one_sample_takes_the_lattice(n_exp, c, bump, dat
 
 
 def test_profile_search_is_per_member_search_on_eigendecomposition():
+    # and on the splitting path with a steplike V, where each member's search
+    # time t_n differs, so each placement is its own flow
     grid = snls.Grid(128, 40.0)
     v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), grid)
-    p = snls.PerturbedPropagator(grid, v, method="eigendecomposition")
+    for p in (snls.PerturbedPropagator(grid, v, method="eigendecomposition"),
+              snls.PerturbedPropagator(grid, v, dt=0.05)):
+        search_member_by_member(grid, p)
+
+
+def search_member_by_member(grid, p):
     q, t_window, t_step = 7.0, 2.0, 0.1
     times = t_step * np.arange(-20, 21)
     big = snls.gaussian_packet(grid, amplitude=1.0)
@@ -394,12 +433,16 @@ def test_profile_search_is_per_member_search_on_eigendecomposition():
                                                t_window=t_window, t_step=t_step)
     assert len(result.profiles) == 2
 
-    # the search written member by member, one evolve_through sweep each
-    residue = [f.values for f in fields]
+    # the search written member by member: one evolve_through sweep per leg
+    # out of t = 0, then translate and evolve per member
+    residue, h1v_terms, lq_terms = [f.values for f in fields], [], []
+    legs = (t_step * np.arange(21), -t_step * np.arange(1, 21))
     for pr in result.profiles:
         t_shifts, best = [], []
         for r in residue:
-            states = list(p.evolve_through(snls.ComplexField(grid, r), times))
+            forward, backward = (list(p.evolve_through(snls.ComplexField(grid, r), leg))
+                                 for leg in legs)
+            states = backward[::-1] + forward  # at times, in ascending order
             k = int(np.argmax([snls.lp_norm(s, q) for s in states]))  # the first maximum
             t_shifts.append(times[k])
             best.append(states[k].values)
@@ -408,9 +451,30 @@ def test_profile_search_is_per_member_search_on_eigendecomposition():
         x_shifts = [grid.x[int(np.argmax(np.abs(_lowpass(b, grid, radius))))] for b in best]
         assert np.array_equal(pr.t_shifts, t_shifts)
         assert np.array_equal(pr.x_shifts, x_shifts)
+        if p.method == "strang_splitting":
+            # a stacked sweep is each row's own sweep bit for bit; the
+            # eigenbasis projects a stack in one matrix product, at roundoff
+            recentred = [snls.translate(snls.ComplexField(grid, b), -x).values
+                         for b, x in zip(best, x_shifts)]
+            assert np.array_equal(pr.psi.values, _median_field(np.stack(recentred)))
         for n in range(len(residue)):
             placed = snls.translate(pr.psi, x_shifts[n])
-            residue[n] = residue[n] - p.evolve(placed, -t_shifts[n]).values
+            removed = p.evolve(placed, -t_shifts[n])
+            residue[n] = residue[n] - removed.values
+        h1v_terms.append(snls.h1v_norm_sq(placed, p.v))
+        lq_terms.append(snls.lp_norm(removed, q) ** q)
+
+    last, rem = fields[-1], snls.ComplexField(grid, residue[-1])
+    assert np.array_equal(result.remainder.values, rem.values)
+    lq = snls.lp_norm(last, q) ** q - snls.lp_norm(rem, q) ** q
+    for term in lq_terms:
+        lq -= term
+    assert result.pythagorean_defects == {
+        "mass": snls.l2_norm_sq(last) - sum(snls.l2_norm_sq(pr.psi) for pr in result.profiles)
+        - snls.l2_norm_sq(rem),
+        "h1v": snls.h1v_norm_sq(last, p.v) - sum(h1v_terms) - snls.h1v_norm_sq(rem, p.v),
+        "lq": lq,
+    }
 
 
 @examples
