@@ -2,7 +2,7 @@
 NLS with a steplike potential, i u_t + u_xx - V u = |u|^alpha u.
 """
 
-from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, write_checkpoint
 from .diagnostics import (
     ExponentSet,
     MorawetzReport,

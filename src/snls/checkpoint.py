@@ -12,35 +12,24 @@ Layout (little-endian throughout):
 
 Write -> read -> write round-trips bit-identically.  A file that does not
 follow this layout, whose header grid is not a valid ``Grid``, or whose
-payload holds NaN or Inf, raises ``CheckpointError``.
+payload is not a valid ``ComplexField`` (NaN or Inf samples), raises
+``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ParameterError
+from .errors import CheckpointError, InvalidFieldError, ParameterError
 from .grid import ComplexField, Grid
 
-__all__ = ["Checkpoint", "write_checkpoint", "read_checkpoint"]
+__all__ = ["write_checkpoint", "read_checkpoint"]
 
 MAGIC = b"SNLS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQdd")
-
-
-@dataclass(frozen=True, eq=False)
-class Checkpoint:
-    n_points: int
-    length: float
-    time: float
-    values: np.ndarray
-
-    def to_field(self) -> ComplexField:
-        return ComplexField(Grid(self.n_points, self.length), self.values)
 
 
 def write_checkpoint(path, field: ComplexField, time: float) -> None:
@@ -51,7 +40,8 @@ def write_checkpoint(path, field: ComplexField, time: float) -> None:
         fh.write(field.values.astype("<c16").tobytes())
 
 
-def read_checkpoint(path) -> Checkpoint:
+def read_checkpoint(path) -> tuple[ComplexField, float]:
+    """The field a checkpoint holds, on its header grid, and its time."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -67,13 +57,13 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    # n_points is bounded by the file size here, so building the grid is cheap
+    # n_points is bounded by the file size here, so building the grid is cheap;
+    # the (re, im) pairs are read as complex directly, since re + 1j*im would
+    # lose the sign of a zero
     try:
-        Grid(n_points, length)
+        field = ComplexField(Grid(n_points, length), np.frombuffer(payload, dtype="<c16"))
     except ParameterError as exc:
         raise CheckpointError(f"{path}: bad header grid: {exc}") from exc
-    # read the (re, im) pairs as complex directly: re + 1j*im would lose the sign of a zero
-    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    if not np.isfinite(values).all():
-        raise CheckpointError(f"{path}: payload holds NaN or Inf samples")
-    return Checkpoint(n_points=int(n_points), length=length, time=time, values=values)
+    except InvalidFieldError as exc:
+        raise CheckpointError(f"{path}: bad payload: {exc}") from exc
+    return field, time

@@ -235,7 +235,6 @@ class MorawetzReport:
     repulsive_series: np.ndarray
     integral_value: float
     min_repulsive_density: float
-    time_derivative: str
 
 
 def morawetz_report(
@@ -365,5 +364,4 @@ def _morawetz_window(problem, times, values, time_derivative, vprime) -> Morawet
         repulsive_series=out_repulsive,
         integral_value=integral_value,
         min_repulsive_density=float(least.min()),
-        time_derivative=time_derivative,
     )

@@ -16,7 +16,7 @@ from . import diagnostics, scattering
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, _read_text
 from .errors import ConfigError, SnlsError
-from .grid import ComplexField, Grid, gaussian_packet, h1_norm_sq, l2_norm_sq, translate
+from .grid import ComplexField, Grid, _shift, gaussian_packet, h1_norm_sq, l2_norm_sq
 from .potentials import (
     PotentialFamily,
     PotentialSpec,
@@ -76,10 +76,10 @@ def _build_initial(cfg: RunConfig, grid: Grid) -> ComplexField:
             momentum=cfg.get_float("initial.momentum", 0.0),
         )
     if kind == "checkpoint":
-        snap = read_checkpoint(cfg.get_str("initial.checkpoint"))
-        if snap.n_points != grid.n_points or snap.length != grid.length:
+        field, _ = read_checkpoint(cfg.get_str("initial.checkpoint"))
+        if not field.grid.same_as(grid):
             raise ConfigError("checkpoint grid does not match grid.* settings")
-        return ComplexField(grid, snap.values)
+        return field
     raise ConfigError(f"initial.kind must be gaussian or checkpoint, got {kind!r}")
 
 
@@ -201,8 +201,15 @@ def _evolve_problem(cfg: RunConfig) -> NlsProblem:
     return _build_problem(cfg, grid, v, _build_initial(cfg, grid))
 
 
+def _linear_inputs(cfg: RunConfig) -> tuple[ComplexField, PerturbedPropagator]:
+    """psi and the linear propagator of a run that flows only its initial field."""
+    grid = _build_grid(cfg)
+    v = _build_potential(cfg, grid)
+    return _build_initial(cfg, grid), _build_propagator(cfg, grid, v)
+
+
 def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
-    return _write_evolve(cfg, outdir, solve(_evolve_problem(cfg)))
+    return _run_evolve_points([(cfg, outdir)])[0]
 
 
 def _write_evolve(cfg: RunConfig, outdir: Path, traj) -> dict:
@@ -233,22 +240,24 @@ def _write_evolve(cfg: RunConfig, outdir: Path, traj) -> dict:
     return summary
 
 
-def _run_evolve_points(points) -> None:
-    """Evolve each (cfg, outdir) point; consecutive points that share a flow run stacked.
+def _run_evolve_points(points) -> list:
+    """Evolve each (cfg, outdir) point; returns their summaries in order.
 
-    A stack is written only after all its rows are solved, so a guard that
-    trips in one row leaves no artifacts for any row of its stack.
+    Consecutive points that share a flow run stacked, and a lone point is a
+    one-row stack.  A stack is written only after all its rows are solved,
+    so a guard that trips in one row leaves no artifacts for any row of it.
     """
     problems = [_evolve_problem(cfg) for cfg, _ in points]
-    start = 0
+    summaries, start = [], 0
     while start < len(points):
         stop = start + 1
         while (stop < min(start + STACK_ROWS, len(points))
                and problems[start].shares_flow(problems[stop])):
             stop += 1
         for (cfg, outdir), traj in zip(points[start:stop], solve_stack(problems[start:stop])):
-            _write_evolve(cfg, outdir, traj)
+            summaries.append(_write_evolve(cfg, outdir, traj))
         start = stop
+    return summaries
 
 
 def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
@@ -262,10 +271,7 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
         if num < 1:
             raise ConfigError(f"decay.num must be >= 1, got {num}")
         times = np.geomspace(t_min, t_max, num)
-    grid = _build_grid(cfg)
-    v = _build_potential(cfg, grid)
-    psi = _build_initial(cfg, grid)
-    prop = _build_propagator(cfg, grid, v)
+    psi, prop = _linear_inputs(cfg)
     ratios = diagnostics.decay_ratio(prop, psi, times)
     free_const = free_decay_constant()
     summary = {
@@ -280,10 +286,7 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
-    grid = _build_grid(cfg)
-    v = _build_potential(cfg, grid)
-    psi = _build_initial(cfg, grid)
-    prop = _build_propagator(cfg, grid, v)
+    psi, prop = _linear_inputs(cfg)
     study = scattering.channel_convergence_study(prop, psi, cfg.get_int("channels.n_max", 6))
     psi_mass = l2_norm_sq(psi)
     summary = {
@@ -310,17 +313,15 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
-    # the wave-operator gaps measure scattering only when the pullbacks
-    # repeat the solve's step; with another step they measure splitting error
-    if cfg.get_float("propagator.dt", 1e-3) != cfg.get_float("solver.dt", 1e-3):
-        raise ConfigError("channels: propagator.dt must equal solver.dt")
-    grid = _build_grid(cfg)
-    v = _build_potential(cfg, grid)
-    u0 = _build_initial(cfg, grid)
     wave_times = sorted(cfg.get_float_list("channels.wave_times", [10.0, 20.0, 40.0]))
     cfg = cfg.with_override("solver.t_final", wave_times[-1])
     cfg = cfg.with_override("solver.record_times", wave_times)
-    problem = _build_problem(cfg, grid, v, u0)
+    problem = _evolve_problem(cfg)
+    prop = _build_propagator(cfg, problem.grid, problem.v)
+    # the wave-operator gaps measure scattering only when the pullbacks
+    # repeat the solve's step; with another step they measure splitting error
+    if prop.dt != problem.dt:
+        raise ConfigError("channels: propagator.dt must equal solver.dt")
     # the shedding pullback, and the channel study read off it, sweep the
     # step lattice down from the last wave time
     if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
@@ -328,7 +329,6 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     n_max = cfg.get_int("channels.n_max", 6)
     study_times = scattering._channel_times(n_max)
     traj = solve(problem)
-    prop = _build_propagator(cfg, grid, v)
 
     states = scattering._wave_states(traj, prop, wave_times, study_times)
     states, flow = states[: len(wave_times)], states[len(wave_times) :]
@@ -344,7 +344,7 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
         "end_to_end_reconstruction_defect": defect,
         "final_cauchy_gap": float(study.cauchy_gaps[-1]),
         "final_mass_defect": float(study.mass_defects[-1]),
-        "u0_h1_norm": h1_norm_sq(u0) ** 0.5,
+        "u0_h1_norm": h1_norm_sq(problem.u0) ** 0.5,
         "warnings": list(traj.warnings),
     }
     header = ["T", "wave_gap_h1"]
@@ -400,10 +400,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_translation_gap(cfg: RunConfig, outdir: Path) -> dict:
-    grid = _build_grid(cfg)
-    v = _build_potential(cfg, grid)
-    psi = _build_initial(cfg, grid)
-    prop = _build_propagator(cfg, grid, v)
+    psi, prop = _linear_inputs(cfg)
     shifts = cfg.get_float_list("translation.shifts")
     span = cfg.get_float_list("translation.t_span", [0.0, 5.0])
     if len(span) != 2:
@@ -445,18 +442,17 @@ def _profile_fixture(cfg: RunConfig, grid: Grid) -> list:
             rng.uniform(-grid.length / 8, grid.length / 8, size=count) / grid.dx
         ) * grid.dx
         base = gaussian_packet(grid, amplitude=amp)
-        return [translate(base, s) for s in shifts]
+        return [ComplexField(grid, row) for row in _shift(base.values, grid.wavenumbers, shifts)]
     if kind == "two_bump":
         base1 = gaussian_packet(grid, amplitude=amp)
         base2 = gaussian_packet(grid, amplitude=0.8 * amp, width=1.5)
         s0 = cfg.get_float("profiles.separation", grid.length / 16)
         ds = cfg.get_float("profiles.separation_step", grid.length / 64)
-        out = []
-        for n in range(count):
-            a_n = round((s0 + n * ds) / grid.dx) * grid.dx
-            vals = translate(base1, a_n).values + translate(base2, -a_n).values
-            out.append(ComplexField(grid, vals))
-        return out
+        a = np.round((s0 + ds * np.arange(count)) / grid.dx) * grid.dx
+        # member n is base1 moved by a_n plus base2 by -a_n, in one (2, count, N) shift
+        bases = np.stack([base1.values, base2.values])[:, None]
+        placed = _shift(bases, grid.wavenumbers, np.stack([a, -a]))
+        return [ComplexField(grid, row) for row in placed[0] + placed[1]]
     if kind == "noise":
         rng = np.random.default_rng(seed)
         out = []

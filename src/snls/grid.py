@@ -171,7 +171,7 @@ def _derivative(v: np.ndarray, xi: np.ndarray, order: int = 1) -> np.ndarray:
 
 def _shift(v: np.ndarray, xi: np.ndarray, s) -> np.ndarray:
     """Raw samples of v(x - s), ifft(exp(-i*xi*s) * fft(v)) along the last axis, for one
-    shift s or a (B,) array of them, one per row: each row is its own one-shift call."""
+    shift s or an array of them broadcast against v's leading axes, each row its own call."""
     return np.fft.ifft(np.exp(-1j * xi * np.expand_dims(s, -1)) * np.fft.fft(v))
 
 

@@ -189,8 +189,6 @@ LIMIT_TOL = 1e-6
 def _decay_ok_on_half(x, dev, epsilon):
     """Does |x|^(1+eps) * dev decrease toward 0 on this outer quarter?"""
     w = np.abs(x) ** (1.0 + epsilon) * dev
-    if w.size < 4:
-        return False
     wmax = float(np.max(w))
     if wmax <= LIMIT_TOL:
         return True
@@ -240,7 +238,7 @@ def check_hypotheses(
     if epsilon <= 0:
         raise ParameterError("epsilon must be > 0")
     x = grid.x
-    scale = max(float(np.max(np.abs(V))) if V.size else 0.0, 1.0)
+    scale = max(float(np.max(np.abs(V))), 1.0)
     if height is not None:
         scale = max(scale, abs(height))
 
@@ -273,9 +271,8 @@ def check_hypotheses(
     worst = (float(x[worst_idx]), float(xdv[worst_idx]))
     repulsive = finite and bool(np.max(xdv) <= tol)
 
-    tail = max(n // 20, 2)
     dv_scale = max(float(np.max(np.abs(dv))), 1e-300)
-    edge_dv = max(float(np.max(np.abs(dv[:tail]))), float(np.max(np.abs(dv[-tail:]))))
+    edge_dv = max(float(np.max(np.abs(dv[:edge]))), float(np.max(np.abs(dv[-edge:]))))
     gradient_vanishes = finite and (edge_dv <= 1e-6 * max(dv_scale, 1.0))
 
     return HypothesisReport(

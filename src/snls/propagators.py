@@ -60,11 +60,6 @@ MAX_SPLITTING_DT = 0.1
 SMALL_ROTATION = 1e-8
 
 
-def _check_time(t: float):
-    if not np.isfinite(t):
-        raise ParameterError(f"evolution time must be finite, got {t!r}")
-
-
 def _multiplier(xi2: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*xi2): the free group at time t for xi2 = xi^2, and the flow of a
     constant V = c for xi2 = xi^2 + c."""
@@ -73,7 +68,8 @@ def _multiplier(xi2: np.ndarray, t: float) -> np.ndarray:
 
 def evolve_free(f: ComplexField, t: float) -> ComplexField:
     """exp(i*t*dxx) f via the multiplier exp(-i*t*xi^2)."""
-    _check_time(t)
+    if not np.isfinite(t):
+        raise ParameterError(f"evolution time must be finite, got {t!r}")
     if t == 0.0:
         return f.copy()
     mult = _multiplier(f.grid.wavenumbers**2, t)

@@ -93,10 +93,6 @@ class ChannelPair:
     extraction_n: int
     cauchy_gap: float  # H1 distance to the (n-1)-extraction; 0.0 at n = 1
 
-    def mass_partition_defect(self, psi: ComplexField) -> float:
-        """|eta|^2 + |gamma|^2 - |psi|^2 (signed; -> 0 with channel orthogonality)."""
-        return l2_norm_sq(self.eta) + l2_norm_sq(self.gamma) - l2_norm_sq(psi)
-
 
 def _h1_dist(f: ComplexField, g: ComplexField) -> float:
     return h1_norm_sq(ComplexField(f.grid, f.values - g.values)) ** 0.5
@@ -170,7 +166,10 @@ def _channel_study(psi: ComplexField, states) -> ChannelStudy:
         pairs.append(ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap))
     return ChannelStudy(
         pairs=tuple(pairs),
-        mass_defects=np.array([pair.mass_partition_defect(psi) for pair in pairs]),
+        # |eta|^2 + |gamma|^2 - |psi|^2, signed; -> 0 with channel orthogonality
+        mass_defects=np.array([
+            l2_norm_sq(pair.eta) + l2_norm_sq(pair.gamma) - l2_norm_sq(psi) for pair in pairs
+        ]),
         reconstruction_defects=np.array([
             _reconstruction_defect(states[2 * n], pair, 2.0 * np.pi * (n + 1))
             for n, pair in enumerate(pairs, start=1)

@@ -52,10 +52,10 @@ class TestCheckpoint:
         p1 = tmp_path / "a.snls"
         p2 = tmp_path / "b.snls"
         write_checkpoint(p1, f, 1.25)
-        snap = read_checkpoint(p1)
-        assert snap.time == 1.25
-        assert snap.n_points == grid_small.n_points
-        write_checkpoint(p2, snap.to_field(), snap.time)
+        field, time = read_checkpoint(p1)
+        assert time == 1.25
+        assert field.grid.n_points == grid_small.n_points
+        write_checkpoint(p2, field, time)
         assert p1.read_bytes() == p2.read_bytes()
         assert len(p1.read_bytes()) == 32 + 16 * grid_small.n_points
 
@@ -91,9 +91,9 @@ class TestCheckpoint:
         with tempfile.TemporaryDirectory() as tmp:
             p1, p2 = Path(tmp) / "a.snls", Path(tmp) / "b.snls"
             write_checkpoint(p1, field, time)
-            snap = read_checkpoint(p1)
-            assert snap.values.tobytes() == values.tobytes()
-            write_checkpoint(p2, snap.to_field(), snap.time)
+            read, read_time = read_checkpoint(p1)
+            assert read.values.tobytes() == values.tobytes()
+            write_checkpoint(p2, read, read_time)
             assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -320,8 +320,8 @@ class TestExperiments:
         cfg = parse_config_text(EVOLVE_CFG)
         out = tmp_path / "chain"
         run(cfg, output_dir=out)
-        snap = read_checkpoint(out / "checkpoint_0004.snls")
-        assert snap.time == 1.0
+        _, time = read_checkpoint(out / "checkpoint_0004.snls")
+        assert time == 1.0
         # restart from the checkpoint and keep evolving
         cfg2 = (
             cfg.with_override("initial.kind", "checkpoint")
@@ -408,6 +408,39 @@ class TestExperiments:
         assert [f.values.tobytes() for f in fields] == [e.tobytes() for e in expected]
         other = experiments._profile_fixture(cfg.with_override("seed", 8), grid)
         assert not np.array_equal(other[0].values, fields[0].values)
+
+    @pytest.mark.parametrize("fixture, bases", [("one_bump", 1), ("two_bump", 2)])
+    def test_profile_fixture_builds_one_field_per_member(self, monkeypatch, fixture, bases):
+        # one stacked shift places every member: the fixture builds its bumps
+        # and one field per member, each bit for bit the translate of its bumps
+        grid = snls.Grid(1024, 200.0)
+        init, counts = snls.ComplexField.__post_init__, []
+
+        def counted(f):
+            counts[-1] += 1
+            init(f)
+
+        for count in (4, 8):
+            cfg = parse_config_text(f"profiles.fixture = {fixture}\nprofiles.count = {count}\n")
+            counts.append(0)
+            monkeypatch.setattr(snls.ComplexField, "__post_init__", counted)
+            members = experiments._profile_fixture(cfg, grid)
+            monkeypatch.undo()
+            assert len(members) == count
+            if fixture == "one_bump":
+                rng = np.random.default_rng(0)
+                shifts = np.round(rng.uniform(-25.0, 25.0, size=count) / grid.dx) * grid.dx
+                base = snls.gaussian_packet(grid)
+                expected = [snls.translate(base, s).values for s in shifts]
+            else:
+                base1 = snls.gaussian_packet(grid)
+                base2 = snls.gaussian_packet(grid, amplitude=0.8, width=1.5)
+                shifts = [round((12.5 + n * 3.125) / grid.dx) * grid.dx for n in range(count)]
+                expected = [snls.translate(base1, a).values + snls.translate(base2, -a).values
+                            for a in shifts]
+            for member, row in zip(members, expected):
+                assert np.array_equal(member.values, row)
+        assert counts == [4 + bases, 8 + bases]
 
     def test_decay_smoke(self, tmp_path):
         cfg = parse_config_text(
@@ -1066,6 +1099,38 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "propagator.dt" in err["message"]
+        assert not out.exists()
+
+    def test_channels_bad_propagator_exits_2_before_the_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the propagator is built before the solve, so a setting it refuses
+        # costs no solve
+        def refuse(problem):
+            raise AssertionError("the solve ran before the propagator was built")
+
+        monkeypatch.setattr(experiments, "solve", refuse)
+        cfg = self._write_cfg(
+            tmp_path,
+            """
+            experiment = channels
+            grid.n_points = 2048
+            grid.length = 100.0
+            potential.family = gaussian_matched_step
+            solver.alpha = 5.0
+            solver.dt = 0.0078125
+            propagator.dt = 0.0078125
+            propagator.method = eigendecomposition
+            channels.wave_times = 2.0, 4.0
+            channels.n_max = 1
+            initial.kind = gaussian
+            initial.amplitude = 0.05
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "eigendecomposition" in err["message"]
         assert not out.exists()
 
     def test_channels_wave_times_off_the_step_lattice_exit_2(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The shipped configs in ``configs/``: each parses, names a runnable
-experiment and survives the rendered echo with its types; ``channels.cfg``
-keeps the premises its run relies on."""
+experiment, survives the rendered echo with its types and has every key
+read by its run; ``channels.cfg`` keeps the premises its run relies on."""
 
 from pathlib import Path
 
@@ -9,7 +9,7 @@ import pytest
 
 import snls
 from snls import experiments
-from snls.config import EXPERIMENTS, parse_config, parse_config_text
+from snls.config import EXPERIMENTS, RunConfig, parse_config, parse_config_text
 from snls.propagators import SMALL_ROTATION
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -48,3 +48,36 @@ def test_channels_config_premises():
     grid = snls.Grid(cfg.get_int("grid.n_points"), cfg.get_float("grid.length"))
     sup = np.abs(experiments._build_initial(cfg, grid).values).max()
     assert cfg.get_float("solver.dt") * sup ** cfg.get_float("solver.alpha") < SMALL_ROTATION
+
+
+# shipped keys set to values that keep each run to seconds; no key is removed
+QUICK = {
+    "channels": {"grid.n_points": 512, "channels.wave_times": [0.5, 1.0], "channels.n_max": 1},
+    "decay": {"grid.n_points": 2048, "decay.times": [1.0, 2.0]},
+    "evolve": {"grid.n_points": 512, "solver.t_final": 0.1},
+    "linear_channels": {"grid.n_points": 1024, "channels.n_max": 1},
+    "morawetz": {"grid.n_points": 512, "solver.t_final": 2.0},
+    "profiles": {},
+    "sweep": {"solver.t_final": 0.5},
+}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_key_is_read(path, tmp_path, monkeypatch):
+    # a key that no run reads is ignored without a word; keys are recorded on
+    # the class, since sweep and channels read configs made by with_override
+    read, get = set(), RunConfig.get
+
+    def recording(self, key, *default):
+        read.add(key)
+        return get(self, key, *default)
+
+    cfg = parse_config(path)
+    quick = QUICK[cfg.experiment()]
+    assert set(quick) <= set(cfg.entries)
+    for key, value in quick.items():
+        cfg = cfg.with_override(key, value)
+    monkeypatch.setattr(RunConfig, "get", recording)
+    experiments.run(cfg, tmp_path)
+    # run reads output_dir only when no directory is passed
+    assert set(cfg.entries) - read == {"output_dir"}
