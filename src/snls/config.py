@@ -43,7 +43,9 @@ Recognized keys (see README for the per-experiment required sets):
     decay.times               probe times (list, each > 0), or decay.t_min/t_max
                               (> 0) and decay.num (>= 1) for a geometric grid
     channels.n_max            subsequence depth
-    channels.wave_times       wave-operator pullback times (list, multiples of solver.dt)
+    channels.wave_times       wave times (list, multiples of solver.dt); the
+                              gap between successive ones is taken on its own
+                              leg, in the h1v norm the linear flow conserves
     morawetz.t_min            identity evaluation start, > 0 and past the
                               t = 0 snapshot (default 1.0)
     translation.shifts        bump shifts (list)
@@ -140,13 +142,27 @@ def parse_config(path) -> "RunConfig":
 
 
 class RunConfig:
-    """A validated flat map of dotted keys, with typed accessors."""
+    """A validated flat map of dotted keys, with typed accessors.
+
+    ``read`` records every key passed to ``get``.  A config made by
+    ``with_override`` records its reads in the config it was made from too,
+    except reads of the key it replaced, so a run counts the reads of its
+    sweep points and overrides, and a value that an override hides stays
+    unread.
+    """
 
     def __init__(self, entries: dict, source: str = "<dict>"):
         self.entries = dict(entries)
         self.source = source
+        self.read: set = set()
+        self._origin = None  # (config, key) when with_override made this one
 
     def get(self, key: str, default=_MISSING):
+        cfg = self
+        cfg.read.add(key)
+        while cfg._origin is not None and cfg._origin[1] != key:
+            cfg = cfg._origin[0]
+            cfg.read.add(key)
         if key in self.entries:
             return self.entries[key]
         if default is _MISSING:
@@ -199,9 +215,9 @@ class RunConfig:
         return name
 
     def with_override(self, key: str, value) -> "RunConfig":
-        entries = dict(self.entries)
-        entries[key] = value
-        return RunConfig(entries, source=self.source)
+        made = RunConfig({**self.entries, key: value}, source=self.source)
+        made._origin = (self, key)
+        return made
 
     def render(self) -> str:
         """Canonical text form (sorted keys), used for reproducibility echoes."""

@@ -16,7 +16,16 @@ from . import diagnostics, scattering
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, _read_text
 from .errors import ConfigError, SnlsError
-from .grid import ComplexField, Grid, _shift, gaussian_packet, h1_norm_sq, l2_norm_sq
+from .grid import (
+    ComplexField,
+    Grid,
+    _shift,
+    boundary_mass_fraction,
+    gaussian_packet,
+    h1_norm_sq,
+    high_mode_fraction,
+    l2_norm_sq,
+)
 from .potentials import (
     PotentialFamily,
     PotentialSpec,
@@ -26,7 +35,7 @@ from .potentials import (
     load_samples_csv,
 )
 from .propagators import PerturbedPropagator, free_decay_constant, substep_sizes
-from .solver import NlsProblem, _monitor_warnings, _monitors, _snapshots, solve, solve_stack
+from .solver import NlsProblem, _monitor_warnings, _snapshots, solve, solve_stack
 
 __all__ = ["run", "emit_plot_data"]
 
@@ -318,22 +327,22 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     cfg = cfg.with_override("solver.record_times", wave_times)
     problem = _evolve_problem(cfg)
     prop = _build_propagator(cfg, problem.grid, problem.v)
-    # the wave-operator gaps measure scattering only when the pullbacks
-    # repeat the solve's step; with another step they measure splitting error
+    # the wave-operator gaps measure scattering only when the legs repeat
+    # the solve's step; with another step they measure splitting error
     if prop.dt != problem.dt:
         raise ConfigError("channels: propagator.dt must equal solver.dt")
-    # the shedding pullback, and the channel study read off it, sweep the
-    # step lattice down from the last wave time
+    # each leg runs between two wave times, and the backward sweep that the
+    # channel study is read off starts at the last one, on the step lattice
     if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
         raise ConfigError("channels: channels.wave_times must be multiples of solver.dt")
     n_max = cfg.get_int("channels.n_max", 6)
-    study_times = scattering._channel_times(n_max)
     traj = solve(problem)
 
-    states = scattering._wave_states(traj, prop, wave_times, study_times)
-    states, flow = states[: len(wave_times)], states[len(wave_times) :]
-    gaps = [scattering._h1_dist(b, a) for a, b in zip(states, states[1:])]
-    study = scattering._channel_study(states[-1], flow)
+    # the gaps between successive wave times, in the conserved h1v norm
+    gaps, psi_plus, flow = scattering._wave_gaps(
+        traj, prop, wave_times, scattering._channel_times(n_max)
+    )
+    study = scattering._channel_study(psi_plus, flow)
     t_last = wave_times[-1]
     defect = scattering._reconstruction_defect(traj.field_at(t_last), study.pairs[-1], t_last)
     summary = {
@@ -347,7 +356,7 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
         "u0_h1_norm": h1_norm_sq(problem.u0) ** 0.5,
         "warnings": list(traj.warnings),
     }
-    header = ["T", "wave_gap_h1"]
+    header = ["T", "wave_gap_h1v"]
     rows = [[wave_times[i + 1], g] for i, g in enumerate(gaps)]
     _write_outputs(cfg, outdir, summary, header, rows)
     return summary
@@ -363,18 +372,19 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
     times = diagnostics._morawetz_times(problem.record_times, "difference", t_min)
     # the snapshots stream through the report's window as the solve makes
     # them; only their boundary and high-mode fractions are kept
-    monitors = []
+    boundary, high = [], []
 
     def selected():
         for t, (f,) in zip(problem.record_times, _snapshots([problem])):
-            monitors.append(_monitors(problem, f)[3:])
+            boundary.append(boundary_mass_fraction(f))
+            high.append(high_mode_fraction(f))
             if t >= times[0]:
                 yield f.values
 
     report = diagnostics._morawetz_window(
         problem, times, selected(), "difference", build_potential_derivative(spec, grid)
     )
-    _monitor_warnings(problem, *map(np.array, zip(*monitors)))
+    _monitor_warnings(problem, np.array(boundary), np.array(high))
 
     increments = []
     t_hi = 2.0 * t_min
@@ -552,7 +562,8 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
     """Validate, execute, and write artifacts; returns the summary dict.
 
     ``threads`` is checked and otherwise unused: sweep points run in order
-    in one thread.
+    in one thread.  A key of cfg that the run never read, other than
+    ``output_dir``, is a ConfigError raised after the run.
     """
     if output_dir is None:
         output_dir = cfg.get_str("output_dir", "")
@@ -562,4 +573,8 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
             )
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    return _dispatch(cfg, Path(output_dir))
+    summary = _dispatch(cfg, Path(output_dir))
+    unread = sorted(set(cfg.entries) - cfg.read - {"output_dir"})
+    if unread:
+        raise ConfigError(f"{cfg.source}: no run reads {', '.join(unread)}")
+    return summary

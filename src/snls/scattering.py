@@ -116,7 +116,12 @@ def extract_linear_channels(
 @dataclass(frozen=True, eq=False)
 class ChannelStudy:
     """Per-n channel extractions, n = 1 .. n_max, with convergence series;
-    each Cauchy gap is stored once, in its pair."""
+    each Cauchy gap is stored once, in its pair.
+
+    The mass defect |eta|^2 + |gamma|^2 - |psi|^2 vanishes by the
+    parallelogram identity |eta|^2 + |gamma|^2 = (|A_n|^2 + |B_n|^2)/2
+    whenever the flow is unitary (|A_n| = |B_n| = |psi|), whether or not
+    the extractions converge: it checks unitarity only."""
 
     pairs: tuple
     mass_defects: np.ndarray
@@ -166,7 +171,7 @@ def _channel_study(psi: ComplexField, states) -> ChannelStudy:
         pairs.append(ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap))
     return ChannelStudy(
         pairs=tuple(pairs),
-        # |eta|^2 + |gamma|^2 - |psi|^2, signed; -> 0 with channel orthogonality
+        # |eta|^2 + |gamma|^2 - |psi|^2, signed; 0 up to roundoff for a unitary flow
         mass_defects=np.array([
             l2_norm_sq(pair.eta) + l2_norm_sq(pair.gamma) - l2_norm_sq(psi) for pair in pairs
         ]),
@@ -208,52 +213,47 @@ def nonlinear_wave_state(
     return p.evolve(u_T, -T)
 
 
-def _wave_states(
+def _wave_gaps(
     traj: Trajectory, p: PerturbedPropagator, times, flow_times=()
-) -> list[ComplexField]:
-    """``nonlinear_wave_state`` at each recorded time, in the order given,
-    then the flow of psi_plus(T_max) at each of ``flow_times``.
+) -> tuple[list[float], ComplexField, list[ComplexField]]:
+    """The wave-operator gaps of the recorded times, psi_plus(T_max), and the
+    flow of psi_plus(T_max) at each of ``flow_times``.
 
-    Unchecked: the caller puts the times on the step lattice, as
-    ``channels`` requires, and the flow times at or above 0.  One backward
-    sweep of a stack that sheds rows: the snapshots u(T) are stacked
-    longest T first, and each leg between consecutive sorted times runs the
-    rows still pulling back and then drops the last one, which has reached
-    t = 0.  At T = 10, 20, 40, three rows run 10 units, two run 10 more and
-    one the last 20.  The shortest-T row runs one leg, bit for bit its
-    one-row pullback; a row that crosses a leg boundary moves at roundoff.
-
-    The longest row passes the flow of psi_plus(T_max) at each lattice point
-    of [0, T_max], so a flow time there is read off it as a copy plus one
-    remainder substep: the lattice ``_flow`` from psi_plus(T_max) at
-    roundoff, since a Strang step of -dt inverts one of +dt.  Flow times
-    past T_max run forward from u(T_max).
+    For sorted times T_1 < ... < T_K the i-th gap is
+    |exp(-i(T_{i+1} - T_i)(dxx-V)) u(T_{i+1}) - u(T_i)|_h1v: the linear flow
+    conserves h1v, so it is |psi_plus(T_{i+1}) - psi_plus(T_i)|_h1v and needs
+    only its own leg.  Each leg but the last is a one-row flow of its own.
+    One backward sweep of u(T_max) visits, in decreasing order, the flow
+    times at or below T_max and T_{K-1}, where it gives the last gap, and
+    ends at psi_plus(T_max) at t = 0.  Flow times past T_max run forward
+    from u(T_max).  Unchecked: the caller puts the times on the step
+    lattice, as ``channels`` requires, and the flow times at or above 0.
     """
-    times = [float(T) for T in times]
-    order = sorted(range(len(times)), key=times.__getitem__)
-    snapshots = [traj.field_at(times[k]).values for k in reversed(order)]
-    grid, t_max = traj.problem.grid, times[order[-1]]
+    times = sorted(float(T) for T in times)
+    snapshots = [traj.field_at(T).values for T in times]
+    grid, t_max = traj.problem.grid, times[-1]
+
+    def gap(leg, i):
+        return h1v_norm_sq(ComplexField(grid, leg - snapshots[i]), p.v) ** 0.5
+
+    gaps = [gap(next(p._flow(snapshots[i + 1], [times[i]], times[i + 1])), i)
+            for i in range(len(times) - 2)]
     flow_times = np.asarray(flow_times, dtype=float)
     flows = [None] * len(flow_times)
     ahead = np.flatnonzero(flow_times > t_max)
-    for j, u in zip(ahead, p._flow(snapshots[0], flow_times[ahead], t_max)):
+    for j, u in zip(ahead, p._flow(snapshots[-1], flow_times[ahead], t_max)):
         flows[j] = ComplexField(grid, u)
-    # the other flow times, in the order the longest row passes them
-    pending = sorted(np.flatnonzero(flow_times <= t_max), key=lambda j: -flow_times[j])
-    u = np.stack(snapshots)
-    states, t_done = [None] * len(times), 0.0
-    for rows, k in zip(range(len(order), 0, -1), order):
-        t_end = t_max - times[k]
-        on_leg = [j for j in pending if flow_times[j] >= t_end]
-        pending = pending[len(on_leg):]
-        # the last row runs as (N,): a (1, N) stack pays for 2-D broadcasting
-        leg = p._flow(u[:rows] if rows > 1 else u[0], [*flow_times[on_leg], t_end], t_max - t_done)
-        for j, state in zip(on_leg, leg):
-            flows[j] = ComplexField(grid, state.reshape(rows, -1)[0])
-        u = next(leg)
-        states[k] = ComplexField(grid, u.reshape(rows, -1)[-1])
-        t_done = times[k]
-    return states + flows
+    # the sweep's stops, highest first: flow time j as j, T_{K-1} as -1
+    stops = [(flow_times[j], j) for j in np.flatnonzero(flow_times <= t_max)]
+    stops += [(times[-2], -1)] if len(times) > 1 else []
+    stops.sort(key=lambda stop: -stop[0])
+    sweep = p._flow(snapshots[-1], [t for t, _ in stops] + [0.0], t_max)
+    for (_, j), u in zip(stops, sweep):
+        if j < 0:
+            gaps.append(gap(u, -2))
+        else:
+            flows[j] = ComplexField(grid, u)
+    return gaps, ComplexField(grid, next(sweep)), flows
 
 
 def translation_flow_gap(

@@ -17,8 +17,8 @@ times and linear mode run as one (B, N) stack (``solve_stack``), each row
 bit for bit its own solve; ``solve`` is the one-row case.  Both collect
 ``_snapshots``, which builds each record time's fields as the kernel
 reaches it, so a caller that needs one snapshot at a time (the
-``morawetz`` run) can stream them instead, computing the per-snapshot
-``_monitors`` and their ``_monitor_warnings`` as a Trajectory would.
+``morawetz`` run) can stream them instead, computing the boundary and
+high-mode fractions and their ``_monitor_warnings`` as a Trajectory would.
 
 The guard is per row and checks only what can fail: mass is conserved to
 roundoff, so sup|u|^2 stays below the initial sum of |u_j|^2 and a finite

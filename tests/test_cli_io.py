@@ -223,6 +223,29 @@ checkpoint.save = true
 """
 
 
+def _without(text, key):
+    """Config text without the line that sets key: a swept key's base value is never read."""
+    return "".join(ln for ln in text.splitlines(keepends=True) if ln.split("=", 1)[0].strip() != key)
+
+
+# a channels run of 1024 points, 256 steps to T = 4; channels.wave_times is appended
+LEGS_CFG = """
+experiment = channels
+grid.n_points = 1024
+grid.length = 100.0
+potential.family = gaussian_matched_step
+potential.height = 2.0
+potential.width = 1.0
+solver.alpha = 5.0
+solver.dt = 0.015625
+propagator.dt = 0.015625
+channels.n_max = 1
+initial.kind = gaussian
+initial.amplitude = 0.3
+initial.width = 2.0
+"""
+
+
 # 161 snapshots of 512 points, 1600 steps
 MORAWETZ_CFG = """
 experiment = morawetz
@@ -322,9 +345,11 @@ class TestExperiments:
         run(cfg, output_dir=out)
         _, time = read_checkpoint(out / "checkpoint_0004.snls")
         assert time == 1.0
-        # restart from the checkpoint and keep evolving
+        # restart from the checkpoint and keep evolving; the restart reads no
+        # initial.amplitude, so it drops that key
         cfg2 = (
-            cfg.with_override("initial.kind", "checkpoint")
+            parse_config_text(_without(EVOLVE_CFG, "initial.amplitude"))
+            .with_override("initial.kind", "checkpoint")
             .with_override("initial.checkpoint", str(out / "checkpoint_0004.snls"))
         )
         out2 = tmp_path / "restart"
@@ -575,10 +600,13 @@ class TestExperiments:
         assert len(summary["wave_operator_gaps"]) == 1
 
     def test_channels_study_adds_only_the_forward_tail(self, tmp_path, monkeypatch):
-        # the study reads its flow off the pullback: past the pullback's own
-        # T_max/dt steps it may add the forward tail from T_max to the last
-        # study time and one remainder substep per time off the step lattice
-        dt, t_max = 0.0078125, 12.0
+        # the study reads its flow off the backward sweep of u(T_max): past the
+        # sweep's T_max/dt steps and the earlier legs' (T_{K-1} - T_1)/dt, it
+        # may add the forward tail from T_max to the last study time and one
+        # remainder substep per time off the step lattice.  T_{K-1} = 8 lies
+        # above 2pi, so a sweep that read it after 2pi would go over the bound
+        dt, wave_times = 0.0078125, [4.0, 8.0, 12.0]
+        t_max, legs = wave_times[-1], wave_times[-2] - wave_times[0]
         substeps = []
         kernel = propagators.strang
 
@@ -599,7 +627,7 @@ class TestExperiments:
             solver.alpha = 5.0
             solver.dt = {dt}
             propagator.dt = {dt}
-            channels.wave_times = 6.0, {t_max}
+            channels.wave_times = {", ".join(map(str, wave_times))}
             channels.n_max = 1
             initial.kind = gaussian
             initial.amplitude = 0.05
@@ -610,11 +638,50 @@ class TestExperiments:
         study_times = math.pi * np.arange(2, 5)
         off_lattice = sum(bool(substep_sizes(t, dt)[1]) for t in study_times)
         tail = math.ceil((study_times[-1] - t_max) / dt)
-        assert t_max / dt <= sum(substeps) <= t_max / dt + tail + off_lattice
+        least = (t_max + legs) / dt
+        assert least <= sum(substeps) <= least + tail + off_lattice
+
+    def test_channels_three_wave_times(self, tmp_path):
+        # K = 3 runs one leg, u(2) -> 1, beside the sweep of u(4) that gives
+        # the last gap; each is the h1v gap of the wave states, to 6.7e-6
+        # relative at worst here, since the splitting conserves h1v to O(dt^2)
+        times = [1.0, 2.0, 4.0]
+        cfg = parse_config_text(LEGS_CFG + "channels.wave_times = 4.0, 1.0, 2.0\n")
+        summary = run(cfg, output_dir=tmp_path / "ch")
+        problem = experiments._evolve_problem(
+            cfg.with_override("solver.t_final", 4.0).with_override("solver.record_times", times)
+        )
+        traj = snls.solve(problem)
+        p = snls.PerturbedPropagator(problem.grid, problem.v, dt=problem.dt)
+        waves = [snls.nonlinear_wave_state(traj, p, T) for T in times]
+        pulled = [snls.h1v_norm_sq(snls.ComplexField(problem.grid, b.values - a.values), problem.v)
+                  ** 0.5 for a, b in zip(waves, waves[1:])]
+        assert summary["wave_times"] == times
+        assert summary["wave_operator_gaps"] == pytest.approx(pulled, rel=2e-5)
+        assert summary["gaps_decreasing"] is True
+        lines = (tmp_path / "ch" / "series.csv").read_text().splitlines()
+        assert lines[0] == "T,wave_gap_h1v" and len(lines) == 3
+
+    def test_channels_memory_grows_by_the_extra_snapshots_only(self, tmp_path):
+        # K = 8 against K = 3 with the same T_max and study: the run keeps its
+        # five extra snapshots, and drops each leg once its gap is taken
+        # (5.13 fields more here; a stack of every pullback took 25.1)
+        def peak(times, name):
+            cfg = parse_config_text(LEGS_CFG + f"channels.wave_times = {', '.join(map(str, times))}\n")
+            tracemalloc.start()
+            try:
+                run(cfg, output_dir=tmp_path / name)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([1.0, 2.0, 4.0], "first")  # loads what a run loads once
+        few, many = peak([1.0, 2.0, 4.0], "k3"), peak([0.5 * k for k in range(1, 9)], "k8")
+        assert many - few <= 6 * 1024 * 16
 
     def test_sweep_fans_out(self, tmp_path):
         cfg = parse_config_text(
-            EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+            _without(EVOLVE_CFG, "solver.alpha").replace("experiment = evolve", "experiment = sweep")
             + "sweep.experiment = evolve\nsweep.parameter = solver.alpha\nsweep.values = 4.5, 5.0, 6.0\n"
         )
         out = tmp_path / "sweep"
@@ -649,7 +716,7 @@ class TestExperiments:
 
         monkeypatch.setattr(experiments_mod, "solve_stack", recording)
         cfg = parse_config_text(
-            EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+            _without(EVOLVE_CFG, parameter).replace("experiment = evolve", "experiment = sweep")
             + f"sweep.experiment = evolve\nsweep.parameter = {parameter}\nsweep.values = {values}\n"
         )
         summary = run(cfg, output_dir=tmp_path / "sweep")
@@ -1160,12 +1227,31 @@ class TestCli:
         assert not out.exists()
 
     def test_comma_string_value_exit_0(self, tmp_path):
-        cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "note = first run, small grid\n")
+        # output_dir, which --output-dir overrides, is the one key a run may leave unread
+        cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "output_dir = first run, small grid\n")
         out = tmp_path / "o"
         assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert "note = first run, small grid\n" in summary["config"]
+        assert "output_dir = first run, small grid\n" in summary["config"]
         assert (out / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("evolve", EVOLVE_CFG + "solver.dtt = 0.5\n", "solver.dtt"),
+            # a swept key's base value is hidden by every point's override
+            ("sweep", EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+             + "sweep.experiment = evolve\nsweep.parameter = solver.alpha\nsweep.values = 4.5, 6.0\n",
+             "solver.alpha"),
+        ],
+        ids=["misspelled", "swept_base_value"],
+    )
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, text, key):
+        cfg = self._write_cfg(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].endswith(f"no run reads {key}")
 
     def _checkpoint_cfg(self, tmp_path, snap):
         start = f"initial.kind = checkpoint\ninitial.checkpoint = {snap}"
@@ -1221,7 +1307,7 @@ class TestCli:
     def test_threads_leave_sweep_artifacts_unchanged(self, tmp_path):
         cfg = self._write_cfg(
             tmp_path,
-            EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
+            _without(EVOLVE_CFG, "initial.amplitude").replace("experiment = evolve", "experiment = sweep")
             + "sweep.experiment = evolve\nsweep.parameter = initial.amplitude\nsweep.values = 0.2, 0.4\n",
         )
         outs = {n: tmp_path / f"sw{n}" for n in (1, 2)}

@@ -154,56 +154,63 @@ class TestWaveOperator:
         with pytest.raises(InsufficientDataError):
             snls.nonlinear_wave_state(traj, p, 5.0, allow_interpolation=True)
 
-    @pytest.mark.parametrize("times", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [1.5, 0.25, 0.75], [1.0]])
-    def test_shedding_pullback_is_the_one_row_pullbacks(self, channel_grid, times):
+    @pytest.mark.parametrize(
+        "times", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [1.5, 0.25, 0.75], [1.0], [2.0, 1.0]]
+    )
+    def test_leg_gaps_are_the_wave_state_gaps(self, channel_grid, times):
         v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
         u0 = snls.gaussian_packet(channel_grid, amplitude=0.8)
         traj = snls.solve(snls.NlsProblem(grid=channel_grid, v=v, alpha=5.0, u0=u0, dt=2.0**-7,
                                           t_final=max(times), record_times=sorted(times)))
         p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
-        shed = scattering._wave_states(traj, p, times)
-        alone = [snls.nonlinear_wave_state(traj, p, T) for T in times]
-        assert len(shed) == len(times)
-        first = int(np.argmin(times))
-        assert np.array_equal(shed[first].values, alone[first].values)
-        for a, b in zip(shed, alone):
-            assert l2_dist(a, b) <= 1e-14 * snls.l2_norm_sq(b) ** 0.5
-        # the states differ far beyond that tolerance, so a row shed at the
-        # wrong time or returned in the wrong order cannot pass
-        for i, a in enumerate(alone):
-            for b in alone[i + 1:]:
-                assert l2_dist(a, b) > 1e-6 * snls.l2_norm_sq(b) ** 0.5
+        gaps, psi_plus, flow = scattering._wave_gaps(traj, p, times)
+        waves = [snls.nonlinear_wave_state(traj, p, T) for T in sorted(times)]
+        assert flow == [] and len(gaps) == len(times) - 1
+        # the splitting conserves h1v only to O(dt^2): here the two forms agree
+        # to 8.4e-6 relative at worst, and the gaps differ by a factor 2 or more,
+        # so a leg paired with the wrong wave times cannot pass
+        for gap, a, b in zip(gaps, waves, waves[1:]):
+            pulled = snls.h1v_norm_sq(snls.ComplexField(channel_grid, b.values - a.values), v)
+            assert gap == pytest.approx(pulled**0.5, rel=2e-5)
+        # the sweep stops at T_{K-1} on its way down: 4.2e-15 relative at worst
+        assert l2_dist(psi_plus, waves[-1]) <= 1e-14 * snls.l2_norm_sq(waves[-1]) ** 0.5
 
     def test_pullback_reads_the_study_flow_off_its_longest_row(self, channel_grid):
-        # 2pi .. 4pi lie within T_max = 13 and are read off the longest row
-        # on its way down; 5pi and 6pi run forward from u(T_max)
-        dt, t_max = 2.0**-7, 13.0
+        # 2pi and 3pi lie within T_max = 10 and are read off the backward sweep
+        # of u(T_max), either side of T_{K-1} = 9; 4pi .. 6pi run forward
+        dt, times = 2.0**-7, [9.0, 10.0]
         v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
         u0 = snls.gaussian_packet(channel_grid, amplitude=0.3, width=2.0)
         traj = snls.solve(snls.NlsProblem(grid=channel_grid, v=v, alpha=5.0, u0=u0, dt=dt,
-                                          t_final=t_max, record_times=[6.5, t_max]))
+                                          t_final=times[-1], record_times=times))
         p = snls.PerturbedPropagator(channel_grid, v, dt=dt)
-        times = scattering._channel_times(2)
-        states = scattering._wave_states(traj, p, [6.5, t_max], times)
-        psi_plus, flow = states[1], states[2:]
-        assert len(flow) == len(times)
+        study_times = scattering._channel_times(2)
+        (gap,), psi_plus, flow = scattering._wave_gaps(traj, p, times, study_times)
+        assert len(flow) == len(study_times)
         # Strang steps of -dt invert those of +dt, so the states read on the
         # way down are the lattice flow from psi_plus at roundoff
-        for state, direct in zip(flow, p.evolve_through(psi_plus, times)):
+        for state, direct in zip(flow, p.evolve_through(psi_plus, study_times)):
             assert l2_dist(state, direct) <= 1e-10 * snls.l2_norm_sq(direct) ** 0.5
-        ahead = times > t_max
-        assert ahead.sum() == 2
-        forward = [u.copy() for u in p._flow(traj.field_at(t_max).values, times[ahead], t_max)]
+        ahead = study_times > times[-1]
+        assert ahead.sum() == 3
+        u_max = traj.field_at(times[-1]).values
+        forward = [u.copy() for u in p._flow(u_max, study_times[ahead], times[-1])]
         for state, u in zip(np.array(flow, dtype=object)[ahead], forward):
             assert np.array_equal(state.values, u)
+        # the gap read off the sweep is its own one-leg flow's to 1.2e-11
+        # relative; a sweep that read T_{K-1} after 2pi, going down to 2pi and
+        # back up, misses it by 2.2e-9
+        leg = next(p._flow(u_max, [times[0]], times[-1])) - traj.field_at(times[0]).values
+        alone = snls.h1v_norm_sq(snls.ComplexField(channel_grid, leg), v) ** 0.5
+        assert abs(gap - alone) <= 1e-10 * alone
 
-    def test_shedding_pullback_needs_snapshots(self, channel_grid):
+    def test_wave_gaps_need_snapshots(self, channel_grid):
         v = np.zeros(channel_grid.n_points)
         u0 = snls.gaussian_packet(channel_grid, amplitude=0.05)
         traj = self._solve(channel_grid, v, u0, 2.0)
         p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
         with pytest.raises(InsufficientDataError):
-            scattering._wave_states(traj, p, [2.0, 1.7])
+            scattering._wave_gaps(traj, p, [2.0, 1.7])
 
     def test_nonlinear_extraction_collapses_on_linear_run(self, channel_grid):
         v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), channel_grid)
