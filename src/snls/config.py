@@ -38,8 +38,9 @@ Recognized keys (see README for the per-experiment required sets):
     solver.record_stride      snapshot spacing (or solver.record_times list)
     solver.linear             drop the nonlinear term
     solver.permissive         allow alpha <= 4
-    propagator.method         strang_splitting | eigendecomposition
-    propagator.dt             splitting substep (channels: equal to solver.dt)
+    propagator.method         strang_splitting | eigendecomposition (decay,
+                              linear_channels, translation_gap, profiles)
+    propagator.dt             their splitting substep; channels runs at solver.dt
     decay.times               probe times (list, each > 0), or decay.t_min/t_max
                               (> 0) and decay.num (>= 1) for a geometric grid
     channels.n_max            subsequence depth
@@ -156,6 +157,7 @@ class RunConfig:
         self.source = source
         self.read: set = set()
         self._origin = None  # (config, key) when with_override made this one
+        self.write_check = None  # the config a write checks for unread keys (experiments.run)
 
     def get(self, key: str, default=_MISSING):
         cfg = self
@@ -217,6 +219,7 @@ class RunConfig:
     def with_override(self, key: str, value) -> "RunConfig":
         made = RunConfig({**self.entries, key: value}, source=self.source)
         made._origin = (self, key)
+        made.write_check = self.write_check
         return made
 
     def render(self) -> str:

@@ -139,7 +139,16 @@ def _build_problem(cfg: RunConfig, grid: Grid, v: np.ndarray, u0: ComplexField) 
 # ---------------------------------------------------------------- writers
 
 
+def _refuse_unread(cfg: RunConfig) -> None:
+    """ConfigError naming each key of cfg that no run read, ``output_dir`` aside."""
+    unread = sorted(set(cfg.entries) - cfg.read - {"output_dir"})
+    if unread:
+        raise ConfigError(f"{cfg.source}: no run reads {', '.join(unread)}")
+
+
 def _write_outputs(cfg: RunConfig, outdir: Path, summary: dict, header, rows) -> None:
+    if cfg.write_check is not None:
+        _refuse_unread(cfg.write_check)
     outdir.mkdir(parents=True, exist_ok=True)
     record = {"experiment": cfg.experiment(), "config": cfg.render(), **summary}
     with open(outdir / "summary.json", "w") as fh:
@@ -222,6 +231,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _write_evolve(cfg: RunConfig, outdir: Path, traj) -> dict:
+    save = cfg.get_bool("checkpoint.save", False)
     mass0 = traj.mass[0]
     energy0 = traj.energy[0]
     mass_drift = (
@@ -243,7 +253,7 @@ def _write_evolve(cfg: RunConfig, outdir: Path, traj) -> dict:
     header = ["t", "mass", "energy", "sup_norm", "boundary_mass_fraction", "high_mode_fraction"]
     rows = zip(traj.times, traj.mass, traj.energy, traj.sup, traj.boundary_fraction, traj.high_mode)
     _write_outputs(cfg, outdir, summary, header, rows)
-    if cfg.get_bool("checkpoint.save", False):
+    if save:
         for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
             write_checkpoint(outdir / f"checkpoint_{i:04d}.snls", f, t)
     return summary
@@ -294,6 +304,11 @@ def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
+def _decreasing(values):
+    """Whether values strictly decrease; None for fewer than two, where no order can fail."""
+    return bool(np.all(np.diff(values) < 0)) if len(values) > 1 else None
+
+
 def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
     psi, prop = _linear_inputs(cfg)
     study = scattering.channel_convergence_study(prop, psi, cfg.get_int("channels.n_max", 6))
@@ -305,12 +320,8 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
         "final_mass_defect": float(study.mass_defects[-1]),
         "final_cauchy_gap": float(study.cauchy_gaps[-1]),
         "final_reconstruction_defect": float(study.reconstruction_defects[-1]),
-        "cauchy_gaps_decreasing": bool(
-            np.all(np.diff(study.cauchy_gaps[1:]) < 0)
-        ),
-        "reconstruction_decreasing": bool(
-            np.all(np.diff(study.reconstruction_defects) < 0)
-        ),
+        "cauchy_gaps_decreasing": _decreasing(study.cauchy_gaps[1:]),
+        "reconstruction_decreasing": _decreasing(study.reconstruction_defects),
     }
     header = ["n", "cauchy_gap", "mass_defect", "reconstruction_defect", "eta_mass", "gamma_mass"]
     rows = [
@@ -326,11 +337,12 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     cfg = cfg.with_override("solver.t_final", wave_times[-1])
     cfg = cfg.with_override("solver.record_times", wave_times)
     problem = _evolve_problem(cfg)
-    prop = _build_propagator(cfg, problem.grid, problem.v)
-    # the wave-operator gaps measure scattering only when the legs repeat
-    # the solve's step; with another step they measure splitting error
-    if prop.dt != problem.dt:
-        raise ConfigError("channels: propagator.dt must equal solver.dt")
+    # the legs undo the solve's own splitting: at another step or by another
+    # method the wave-operator gaps would measure splitting error
+    try:
+        prop = PerturbedPropagator(problem.grid, problem.v, dt=problem.dt)
+    except SnlsError as exc:
+        raise ConfigError(f"solver.dt: {exc}") from exc
     # each leg runs between two wave times, and the backward sweep that the
     # channel study is read off starts at the last one, on the step lattice
     if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
@@ -348,7 +360,7 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     summary = {
         "wave_times": wave_times,
         "wave_operator_gaps": gaps,
-        "gaps_decreasing": bool(np.all(np.diff(gaps) < 0)) if len(gaps) > 1 else True,
+        "gaps_decreasing": _decreasing(gaps),
         "channel_n_max": n_max,
         "end_to_end_reconstruction_defect": defect,
         "final_cauchy_gap": float(study.cauchy_gaps[-1]),
@@ -384,7 +396,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
     report = diagnostics._morawetz_window(
         problem, times, selected(), "difference", build_potential_derivative(spec, grid)
     )
-    _monitor_warnings(problem, np.array(boundary), np.array(high))
+    notes = _monitor_warnings(problem, np.array(boundary), np.array(high))
 
     increments = []
     t_hi = 2.0 * t_min
@@ -402,6 +414,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
         "doubling_increments": increments,
         "increment_ratios": ratios,
         "saturates": bool(all(r < 0.5 for r in ratios)) if ratios else False,
+        "warnings": list(notes),
     }
     header = ["t", "density", "residual_l1", "repulsive_term"]
     rows = zip(report.times, report.density_series, report.residual_series, report.repulsive_series)
@@ -563,7 +576,9 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
 
     ``threads`` is checked and otherwise unused: sweep points run in order
     in one thread.  A key of cfg that the run never read, other than
-    ``output_dir``, is a ConfigError raised after the run.
+    ``output_dir``, is a ConfigError raised before the run's first write;
+    a sweep raises it after its last point, since only a later point may
+    read a key.
     """
     if output_dir is None:
         output_dir = cfg.get_str("output_dir", "")
@@ -573,8 +588,7 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
             )
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    cfg.write_check = None if cfg.experiment() == "sweep" else cfg
     summary = _dispatch(cfg, Path(output_dir))
-    unread = sorted(set(cfg.entries) - cfg.read - {"output_dir"})
-    if unread:
-        raise ConfigError(f"{cfg.source}: no run reads {', '.join(unread)}")
+    _refuse_unread(cfg)  # for a sweep; any other run checked before its first write
     return summary

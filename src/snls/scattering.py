@@ -41,7 +41,6 @@ of noise; the median/coherence pair is the finite-sample surrogate for
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -182,35 +181,15 @@ def _channel_study(psi: ComplexField, states) -> ChannelStudy:
     )
 
 
-def nonlinear_wave_state(
-    traj: Trajectory,
-    p: PerturbedPropagator,
-    T: float,
-    allow_interpolation: bool = False,
-) -> ComplexField:
+def nonlinear_wave_state(traj: Trajectory, p: PerturbedPropagator, T: float) -> ComplexField:
     """Pull the solution at time T back by the linear group:
     psi_plus(T) = exp(-iT(dxx-V)) u(T).
 
     Successive T values forming an H1 Cauchy sequence is the numerical
-    witness of scattering to a linear solution.
+    witness of scattering to a linear solution.  T must be a recorded
+    snapshot time (InsufficientDataError otherwise).
     """
-    idx = traj.snapshot_index(T)
-    if idx is not None:
-        u_T = traj.fields[idx]
-    elif allow_interpolation:
-        times = traj.times
-        if T < times[0] or T > times[-1]:
-            raise InsufficientDataError(f"T={T} outside the recorded range")
-        j = int(np.searchsorted(times, T))
-        w = (T - times[j - 1]) / (times[j] - times[j - 1])
-        vals = (1.0 - w) * traj.fields[j - 1].values + w * traj.fields[j].values
-        u_T = ComplexField(traj.problem.grid, vals)
-        warnings.warn(f"snapshot at T={T} interpolated linearly", stacklevel=2)
-    else:
-        raise InsufficientDataError(
-            f"no snapshot at T={T}; pass allow_interpolation=True to interpolate"
-        )
-    return p.evolve(u_T, -T)
+    return p.evolve(traj.field_at(T), -T)
 
 
 def _wave_gaps(
@@ -226,8 +205,9 @@ def _wave_gaps(
     One backward sweep of u(T_max) visits, in decreasing order, the flow
     times at or below T_max and T_{K-1}, where it gives the last gap, and
     ends at psi_plus(T_max) at t = 0.  Flow times past T_max run forward
-    from u(T_max).  Unchecked: the caller puts the times on the step
-    lattice, as ``channels`` requires, and the flow times at or above 0.
+    from u(T_max).  Unchecked: p is the solve's own splitting at its step
+    and the times lie on its step lattice, as ``channels`` makes them; the
+    flow times are at or above 0.
     """
     times = sorted(float(T) for T in times)
     snapshots = [traj.field_at(T).values for T in times]

@@ -228,6 +228,15 @@ def _without(text, key):
     return "".join(ln for ln in text.splitlines(keepends=True) if ln.split("=", 1)[0].strip() != key)
 
 
+def _shipped_config(name, *changes):
+    """The text of a shipped config with each (old, new) line replaced; every old line must be there."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
 # a channels run of 1024 points, 256 steps to T = 4; channels.wave_times is appended
 LEGS_CFG = """
 experiment = channels
@@ -238,7 +247,6 @@ potential.height = 2.0
 potential.width = 1.0
 solver.alpha = 5.0
 solver.dt = 0.015625
-propagator.dt = 0.015625
 channels.n_max = 1
 initial.kind = gaussian
 initial.amplitude = 0.3
@@ -266,7 +274,7 @@ initial.kind = gaussian
 EXPERIMENT_CASES = [
     ("decay", "propagator.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
     ("linear_channels", "propagator.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
-    ("channels", "solver.dt = 0.03125\npropagator.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
+    ("channels", "solver.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
      "\nchannels.n_max = 1\ninitial.kind = gaussian\ninitial.amplitude = 0.05"),
     ("morawetz", "solver.dt = 0.01\nsolver.t_final = 1.0\nsolver.record_stride = 0.1"
      "\nmorawetz.t_min = 0.5\ninitial.kind = gaussian"),
@@ -392,6 +400,21 @@ class TestExperiments:
         summary = run(cfg, output_dir=tmp_path / "lc")
         assert summary["final_eta_mass"] < 1e-24
         assert summary["final_gamma_mass"] == pytest.approx(summary["psi_mass"], rel=1e-10)
+
+    @pytest.mark.parametrize("n_max, cauchy, reconstruction",
+                             [(1, type(None), type(None)), (2, type(None), bool), (3, bool, bool)])
+    def test_linear_channels_order_flags_need_two_values(self, tmp_path, n_max, cauchy,
+                                                         reconstruction):
+        # the Cauchy gaps from n = 2 and the defects from n = 1 keep an order
+        # only when there are two of them; with fewer the flag is null
+        cfg = parse_config_text(
+            f"experiment = linear_channels\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"propagator.dt = 0.05\nchannels.n_max = {n_max}\ninitial.kind = gaussian\n"
+        )
+        summary = run(cfg, output_dir=tmp_path / "lc")
+        for flag, kind in (("cauchy_gaps_decreasing", cauchy),
+                           ("reconstruction_decreasing", reconstruction)):
+            assert type(summary[flag]) is kind
 
     def test_profiles_noise_fixture(self, tmp_path):
         cfg = parse_config_text(
@@ -545,6 +568,17 @@ class TestExperiments:
         assert any(note.startswith("wrap-around:") for note in notes)
         assert notes == [str(w.message) for w in stored]
 
+    def test_morawetz_summary_lists_its_warnings(self, tmp_path):
+        # the shipped config on a box too small for it: the packet reaches the edges
+        text = _shipped_config("morawetz.cfg", ("grid.n_points = 2048", "grid.n_points = 256"),
+                               ("grid.length = 256.0", "grid.length = 24.0"),
+                               ("solver.t_final = 16.0", "solver.t_final = 4.0"))
+        with pytest.warns(UserWarning) as caught:
+            summary = run(parse_config_text(text), output_dir=tmp_path / "mor")
+        notes = _strict_json(tmp_path / "mor" / "summary.json")["warnings"]
+        assert notes == summary["warnings"] == [str(w.message) for w in caught]
+        assert any(note.startswith("wrap-around:") for note in notes)
+
     def test_morawetz_run_rejects_a_nan_snapshot(self, tmp_path, monkeypatch):
         kernel = solver.strang
 
@@ -588,7 +622,6 @@ class TestExperiments:
             potential.width = 1.0
             solver.alpha = 5.0
             solver.dt = 0.0078125
-            propagator.dt = 0.0078125
             channels.wave_times = 2.0, 4.0
             channels.n_max = 1
             initial.kind = gaussian
@@ -598,6 +631,9 @@ class TestExperiments:
         summary = run(cfg, output_dir=tmp_path / "ch")
         assert summary["end_to_end_reconstruction_defect"] < 0.1
         assert len(summary["wave_operator_gaps"]) == 1
+        # one gap has no order to keep, so the flag is null, not a true that cannot fail
+        assert summary["gaps_decreasing"] is None
+        assert _strict_json(tmp_path / "ch" / "summary.json")["gaps_decreasing"] is None
 
     def test_channels_study_adds_only_the_forward_tail(self, tmp_path, monkeypatch):
         # the study reads its flow off the backward sweep of u(T_max): past the
@@ -626,7 +662,6 @@ class TestExperiments:
             potential.width = 1.0
             solver.alpha = 5.0
             solver.dt = {dt}
-            propagator.dt = {dt}
             channels.wave_times = {", ".join(map(str, wave_times))}
             channels.n_max = 1
             initial.kind = gaussian
@@ -658,7 +693,7 @@ class TestExperiments:
                   ** 0.5 for a, b in zip(waves, waves[1:])]
         assert summary["wave_times"] == times
         assert summary["wave_operator_gaps"] == pytest.approx(pulled, rel=2e-5)
-        assert summary["gaps_decreasing"] is True
+        assert summary["gaps_decreasing"] is True  # K = 3: two gaps, a flag that can fail
         lines = (tmp_path / "ch" / "series.csv").read_text().splitlines()
         assert lines[0] == "T,wave_gap_h1v" and len(lines) == 3
 
@@ -1142,9 +1177,14 @@ class TestCli:
         assert "in row 1" in err["message"]
         assert not (out / "run_000").exists() and not (out / "run_001").exists()
 
-    def test_channels_pullback_step_must_match_solve_exit_2(self, tmp_path, capsys):
-        # a pullback step other than the solve's turns the wave-operator
-        # gaps into a measure of splitting error
+    def test_channels_bad_propagator_exits_2_before_the_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the legs run the solve's splitting at solver.dt, built before the
+        # solve, so a step the splitting refuses costs no solve
+        def refuse(problem):
+            raise AssertionError("the solve ran before the leg propagator was built")
+
+        monkeypatch.setattr(experiments, "solve", refuse)
         cfg = self._write_cfg(
             tmp_path,
             """
@@ -1153,8 +1193,7 @@ class TestCli:
             grid.length = 100.0
             potential.family = gaussian_matched_step
             solver.alpha = 5.0
-            solver.dt = 0.0078125
-            propagator.dt = 0.03125
+            solver.dt = 0.25
             channels.wave_times = 2.0, 4.0
             channels.n_max = 1
             initial.kind = gaussian
@@ -1165,39 +1204,42 @@ class TestCli:
         assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert "propagator.dt" in err["message"]
+        assert "solver.dt" in err["message"] and "splitting substep" in err["message"]
         assert not out.exists()
 
-    def test_channels_bad_propagator_exits_2_before_the_solve(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # the propagator is built before the solve, so a setting it refuses
-        # costs no solve
-        def refuse(problem):
-            raise AssertionError("the solve ran before the propagator was built")
-
-        monkeypatch.setattr(experiments, "solve", refuse)
+    @pytest.mark.parametrize(
+        "setting, key",
+        [("propagator.method = eigendecomposition", "propagator.method"),
+         ("propagator.dt = 0.03125", "propagator.dt")],
+        ids=["eigendecomposition", "other_step"],
+    )
+    def test_channels_propagator_key_exit_2(self, tmp_path, capsys, setting, key):
+        # legs by another method or at another step would hold splitting
+        # error (eigendecomposition legs here: gaps 8.7e-7 and 6.2e-7 against
+        # 1.9e-9 and 8.7e-10), so channels reads no propagator.* key, and a
+        # stale one is refused before anything is written
         cfg = self._write_cfg(
             tmp_path,
-            """
+            f"""
             experiment = channels
-            grid.n_points = 2048
+            grid.n_points = 512
             grid.length = 100.0
             potential.family = gaussian_matched_step
             solver.alpha = 5.0
             solver.dt = 0.0078125
-            propagator.dt = 0.0078125
-            propagator.method = eigendecomposition
-            channels.wave_times = 2.0, 4.0
+            {setting}
+            channels.wave_times = 2.0, 4.0, 8.0
             channels.n_max = 1
             initial.kind = gaussian
             initial.amplitude = 0.05
+            initial.width = 2.0
             """,
         )
         out = tmp_path / "o"
         assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert "eigendecomposition" in err["message"]
+        assert err["message"].endswith(f"no run reads {key}")
         assert not out.exists()
 
     def test_channels_wave_times_off_the_step_lattice_exit_2(self, tmp_path, capsys):
@@ -1212,7 +1254,6 @@ class TestCli:
             potential.family = gaussian_matched_step
             solver.alpha = 5.0
             solver.dt = 0.0078125
-            propagator.dt = 0.0078125
             channels.wave_times = 2.0, 3.3
             channels.n_max = 1
             initial.kind = gaussian
@@ -1252,6 +1293,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].endswith(f"no run reads {key}")
+
+    def test_refused_config_writes_no_artifacts(self, tmp_path, capsys):
+        # the unread-key check comes before the run's first write
+        text = _shipped_config("evolve.cfg", ("grid.n_points = 4096", "grid.n_points = 256"),
+                               ("solver.t_final = 10.0", "solver.t_final = 0.01"))
+        cfg = self._write_cfg(tmp_path, text + "solver.dtt = 0.5\n")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].endswith("no run reads solver.dtt")
+        assert not out.exists()  # so no summary.json either
 
     def _checkpoint_cfg(self, tmp_path, snap):
         start = f"initial.kind = checkpoint\ninitial.checkpoint = {snap}"

@@ -1,6 +1,7 @@
 """The shipped configs in ``configs/``: each parses, names a runnable
-experiment, survives the rendered echo with its types and has every key
-read by its run; ``channels.cfg`` keeps the premises its run relies on."""
+experiment, survives the rendered echo with its types, has every key read
+by its run and named in the ``snls.config`` key reference; ``channels.cfg``
+keeps the premise its run relies on."""
 
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import snls
+import snls.config
 from snls import experiments
 from snls.config import EXPERIMENTS, parse_config, parse_config_text
 from snls.propagators import SMALL_ROTATION
@@ -41,8 +43,6 @@ def test_experiment_names_match_the_runners():
 
 def test_channels_config_premises():
     cfg = parse_config(CONFIG_DIR / "channels.cfg")
-    # the pullbacks repeat the solve's step, or the gaps measure splitting error
-    assert cfg.get_float("propagator.dt") == cfg.get_float("solver.dt")
     # every nonlinear phase of the solve rotates by less than SMALL_ROTATION
     # at t = 0, so the run takes the rule's form without cos and sin
     grid = snls.Grid(cfg.get_int("grid.n_points"), cfg.get_float("grid.length"))
@@ -74,3 +74,22 @@ def test_every_shipped_key_is_read(path, tmp_path):
     experiments.run(cfg, tmp_path)
     # run reads output_dir only when no directory is passed
     assert set(cfg.entries) - cfg.read == {"output_dir"}
+
+
+def _reference_keys():
+    """The keys of the ``snls.config`` key reference, a slash group such as
+    ``solver.alpha/dt/t_final`` expanded to one key per name."""
+    reference = snls.config.__doc__.split("Recognized keys", 1)[1]
+    keys = set()
+    for line in reference.splitlines():
+        # a key starts its line at the reference's indent; descriptions wrap further in
+        if line.startswith("    ") and not line.startswith("     "):
+            first, *rest = line.split()[0].split("/")
+            section = first.rpartition(".")[0]
+            keys |= {first} | {f"{section}.{name}" for name in rest}
+    return keys
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_key_is_in_the_key_reference(path):
+    assert set(parse_config(path).entries) <= _reference_keys()

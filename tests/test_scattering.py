@@ -147,12 +147,11 @@ class TestWaveOperator:
         u0 = snls.gaussian_packet(channel_grid, amplitude=0.05)
         traj = self._solve(channel_grid, v, u0, 2.0)
         p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
+        # between snapshots and past the last one
         with pytest.raises(InsufficientDataError):
             snls.nonlinear_wave_state(traj, p, 1.7)
-        with pytest.warns(UserWarning, match="interpolated"):
-            snls.nonlinear_wave_state(traj, p, 1.7, allow_interpolation=True)
         with pytest.raises(InsufficientDataError):
-            snls.nonlinear_wave_state(traj, p, 5.0, allow_interpolation=True)
+            snls.nonlinear_wave_state(traj, p, 5.0)
 
     @pytest.mark.parametrize(
         "times", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0], [1.5, 0.25, 0.75], [1.0], [2.0, 1.0]]
