@@ -34,15 +34,14 @@ Recognized keys (see README for the per-experiment required sets):
     initial.kind              gaussian | checkpoint
     initial.amplitude/width/center/momentum
     initial.checkpoint        path, for initial.kind = checkpoint
-    solver.alpha/dt/t_final
-    solver.record_stride      snapshot spacing (or solver.record_times list)
+    solver.alpha/dt/t_final   dt: the Strang step of every run's flow
+    solver.record_stride      snapshot spacing, at most one snapshot per step
+    solver.record_times       snapshot times (list), in place of record_stride
     solver.linear             drop the nonlinear term
     solver.permissive         allow alpha <= 4
-    propagator.method         strang_splitting | eigendecomposition (decay,
-                              linear_channels, translation_gap, profiles)
-    propagator.dt             their splitting substep; channels runs at solver.dt
-    decay.times               probe times (list, each > 0), or decay.t_min/t_max
-                              (> 0) and decay.num (>= 1) for a geometric grid
+    decay.times               probe times (list, each > 0)
+    decay.t_min/t_max         ends (> 0) of a geometric grid, without decay.times
+    decay.num                 its number of times (>= 1)
     channels.n_max            subsequence depth
     channels.wave_times       wave times (list, multiples of solver.dt); the
                               gap between successive ones is taken on its own
@@ -55,6 +54,7 @@ Recognized keys (see README for the per-experiment required sets):
     profiles.j_max/q/t_window/t_step
     profiles.amplitude        fixture amplitude
     profiles.count            ensemble size, >= 3
+    profiles.separation/separation_step  two_bump: member n's bumps at +-(sep + n * step)
     checkpoint.save           write snapshot checkpoints (evolve)
     sweep.experiment          sub-experiment to fan out
     sweep.parameter           dotted key to vary
@@ -145,26 +145,18 @@ def parse_config(path) -> "RunConfig":
 class RunConfig:
     """A validated flat map of dotted keys, with typed accessors.
 
-    ``read`` records every key passed to ``get``.  A config made by
-    ``with_override`` records its reads in the config it was made from too,
-    except reads of the key it replaced, so a run counts the reads of its
-    sweep points and overrides, and a value that an override hides stays
-    unread.
+    ``read`` records every key passed to ``get``, so that a run can refuse
+    a key it never read.  ``with_override`` makes a copy with one key
+    replaced, which records its own reads.
     """
 
     def __init__(self, entries: dict, source: str = "<dict>"):
         self.entries = dict(entries)
         self.source = source
         self.read: set = set()
-        self._origin = None  # (config, key) when with_override made this one
-        self.write_check = None  # the config a write checks for unread keys (experiments.run)
 
     def get(self, key: str, default=_MISSING):
-        cfg = self
-        cfg.read.add(key)
-        while cfg._origin is not None and cfg._origin[1] != key:
-            cfg = cfg._origin[0]
-            cfg.read.add(key)
+        self.read.add(key)
         if key in self.entries:
             return self.entries[key]
         if default is _MISSING:
@@ -217,10 +209,7 @@ class RunConfig:
         return name
 
     def with_override(self, key: str, value) -> "RunConfig":
-        made = RunConfig({**self.entries, key: value}, source=self.source)
-        made._origin = (self, key)
-        made.write_check = self.write_check
-        return made
+        return RunConfig({**self.entries, key: value}, source=self.source)
 
     def render(self) -> str:
         """Canonical text form (sorted keys), used for reproducibility echoes."""

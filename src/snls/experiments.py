@@ -93,23 +93,26 @@ def _build_initial(cfg: RunConfig, grid: Grid) -> ComplexField:
 
 
 def _build_propagator(cfg: RunConfig, grid: Grid, v: np.ndarray) -> PerturbedPropagator:
+    """The linear flow's Strang splitting at solver.dt, the step of the solve."""
     try:
-        return PerturbedPropagator(
-            grid,
-            v,
-            method=cfg.get_str("propagator.method", "strang_splitting"),
-            dt=cfg.get_float("propagator.dt", 1e-3),
-        )
+        return PerturbedPropagator(grid, v, dt=cfg.get_float("solver.dt", 1e-3))
     except SnlsError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"solver.dt: {exc}") from exc
 
 
-def _record_times(cfg: RunConfig, t_final: float) -> np.ndarray:
+def _record_times(cfg: RunConfig, t_final: float, dt: float) -> np.ndarray:
     if "solver.record_times" in cfg.entries:
         return np.asarray(cfg.get_float_list("solver.record_times"))
     stride = cfg.get_float("solver.record_stride", t_final)
-    if stride <= 0:
-        raise ConfigError("solver.record_stride must be > 0")
+    if not (t_final > 0 and stride > 0):
+        raise ConfigError("solver.t_final and solver.record_stride must be > 0, "
+                          f"got {t_final!r} and {stride!r}")
+    # at most one stride per step, counted as the rounding below counts them
+    # but checked before it, since a tiny stride overflows it
+    n_full, rem = substep_sizes(t_final, dt)
+    if t_final / stride > n_full + (rem > 0) + 0.5:
+        raise ConfigError(f"solver.record_stride = {stride!r} asks for more strides than "
+                          f"the solve's {n_full + (rem > 0)} steps")
     n = int(round(t_final / stride))
     times = stride * np.arange(n + 1)
     if times[-1] < t_final - 1e-12:
@@ -118,17 +121,22 @@ def _record_times(cfg: RunConfig, t_final: float) -> np.ndarray:
     return times
 
 
-def _build_problem(cfg: RunConfig, grid: Grid, v: np.ndarray, u0: ComplexField) -> NlsProblem:
-    t_final = cfg.get_float("solver.t_final")
+def _build_problem(cfg: RunConfig, grid: Grid, v: np.ndarray, u0: ComplexField,
+                   record_times=None) -> NlsProblem:
+    """cfg's solve; given record_times end it, and solver.t_final and solver.record_* go unread."""
+    t_final = cfg.get_float("solver.t_final") if record_times is None else record_times[-1]
+    dt = cfg.get_float("solver.dt", 1e-3)
     try:
+        if record_times is None:
+            record_times = _record_times(cfg, t_final, dt)
         return NlsProblem(
             grid=grid,
             v=v,
             alpha=cfg.get_float("solver.alpha", 5.0),
             u0=u0,
-            dt=cfg.get_float("solver.dt", 1e-3),
+            dt=dt,
             t_final=t_final,
-            record_times=_record_times(cfg, t_final),
+            record_times=record_times,
             linear=cfg.get_bool("solver.linear", False),
             permissive=cfg.get_bool("solver.permissive", False),
         )
@@ -147,10 +155,10 @@ def _refuse_unread(cfg: RunConfig) -> None:
 
 
 def _write_outputs(cfg: RunConfig, outdir: Path, summary: dict, header, rows) -> None:
-    if cfg.write_check is not None:
-        _refuse_unread(cfg.write_check)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # an evolve sweep point reads experiment only here, so the check follows
     record = {"experiment": cfg.experiment(), "config": cfg.render(), **summary}
+    _refuse_unread(cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "summary.json", "w") as fh:
         # np.float64 subclasses float; other numpy values go through .tolist()
         json.dump(record, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
@@ -213,10 +221,10 @@ def _run_check_potential(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-def _evolve_problem(cfg: RunConfig) -> NlsProblem:
+def _evolve_problem(cfg: RunConfig, record_times=None) -> NlsProblem:
     grid = _build_grid(cfg)
     v = _build_potential(cfg, grid)
-    return _build_problem(cfg, grid, v, _build_initial(cfg, grid))
+    return _build_problem(cfg, grid, v, _build_initial(cfg, grid), record_times)
 
 
 def _linear_inputs(cfg: RunConfig) -> tuple[ComplexField, PerturbedPropagator]:
@@ -334,26 +342,23 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     wave_times = sorted(cfg.get_float_list("channels.wave_times", [10.0, 20.0, 40.0]))
-    cfg = cfg.with_override("solver.t_final", wave_times[-1])
-    cfg = cfg.with_override("solver.record_times", wave_times)
-    problem = _evolve_problem(cfg)
+    problem = _evolve_problem(cfg, wave_times)
     # the legs undo the solve's own splitting: at another step or by another
     # method the wave-operator gaps would measure splitting error
-    try:
-        prop = PerturbedPropagator(problem.grid, problem.v, dt=problem.dt)
-    except SnlsError as exc:
-        raise ConfigError(f"solver.dt: {exc}") from exc
+    prop = _build_propagator(cfg, problem.grid, problem.v)
     # each leg runs between two wave times, and the backward sweep that the
     # channel study is read off starts at the last one, on the step lattice
     if any(substep_sizes(T, problem.dt)[1] for T in wave_times):
         raise ConfigError("channels: channels.wave_times must be multiples of solver.dt")
     n_max = cfg.get_int("channels.n_max", 6)
+    try:
+        study_times = scattering._channel_times(n_max)
+    except SnlsError as exc:
+        raise ConfigError(f"channels.n_max: {exc}") from exc
     traj = solve(problem)
 
     # the gaps between successive wave times, in the conserved h1v norm
-    gaps, psi_plus, flow = scattering._wave_gaps(
-        traj, prop, wave_times, scattering._channel_times(n_max)
-    )
+    gaps, psi_plus, flow = scattering._wave_gaps(traj, prop, wave_times, study_times)
     study = scattering._channel_study(psi_plus, flow)
     t_last = wave_times[-1]
     defect = scattering._reconstruction_defect(traj.field_at(t_last), study.pairs[-1], t_last)
@@ -413,7 +418,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
         "repulsive_series_nonnegative": bool(np.all(report.repulsive_series >= -1e-12)),
         "doubling_increments": increments,
         "increment_ratios": ratios,
-        "saturates": bool(all(r < 0.5 for r in ratios)) if ratios else False,
+        "saturates": bool(all(r < 0.5 for r in ratios)) if ratios else None,
         "warnings": list(notes),
     }
     header = ["t", "density", "residual_l1", "repulsive_term"]
@@ -525,21 +530,27 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
         raise ConfigError("sweep cannot nest")
     parameter = cfg.get_str("sweep.parameter")
     values = cfg.get("sweep.values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a nonempty list")
+    # no run changes the keys it reads on a number, so every point reads the
+    # same keys, and each point's own check before its first write covers all
+    if not (isinstance(values, list) and values
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise ConfigError("sweep.values must be a nonempty list of numbers")
+    if parameter in cfg.entries:  # every point replaces it
+        raise ConfigError(f"{cfg.source}: no run reads {parameter}")
 
     run_names = [f"run_{i:03d}" for i in range(len(values))]
-    points = []
-    for name, value in zip(run_names, values):
-        sub = cfg.with_override("experiment", sub_experiment).with_override(parameter, value)
-        for key in ("sweep.experiment", "sweep.parameter", "sweep.values"):
-            sub.entries.pop(key, None)
-        points.append((sub, outdir / name))
+    entries = {k: v for k, v in cfg.entries.items()
+               if k not in ("sweep.experiment", "sweep.parameter", "sweep.values")}
+    entries["experiment"] = sub_experiment
+    points = [(RunConfig({**entries, parameter: value}, cfg.source), outdir / name)
+              for name, value in zip(run_names, values)]
     if sub_experiment == "evolve":
         _run_evolve_points(points)
     else:
         for sub, path in points:
             _dispatch(sub, path)
+    for sub, _ in points:
+        cfg.read |= sub.read - {parameter}
 
     summary = {
         "sub_experiment": sub_experiment,
@@ -547,10 +558,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
         "values": values,
         "runs": run_names,
     }
-    rows = [[v] for v in values] if all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ) else []
-    _write_outputs(cfg, outdir, summary, [parameter.replace(".", "_")], rows)
+    _write_outputs(cfg, outdir, summary, [parameter.replace(".", "_")], [[v] for v in values])
     return summary
 
 
@@ -576,9 +584,9 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
 
     ``threads`` is checked and otherwise unused: sweep points run in order
     in one thread.  A key of cfg that the run never read, other than
-    ``output_dir``, is a ConfigError raised before the run's first write;
-    a sweep raises it after its last point, since only a later point may
-    read a key.
+    ``output_dir``, is a ConfigError raised just before the run's first
+    write, as it is for each sweep point; a sweep's base value of its
+    ``sweep.parameter`` is refused before the first point.
     """
     if output_dir is None:
         output_dir = cfg.get_str("output_dir", "")
@@ -588,7 +596,4 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1) -> dict:
             )
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    cfg.write_check = None if cfg.experiment() == "sweep" else cfg
-    summary = _dispatch(cfg, Path(output_dir))
-    _refuse_unread(cfg)  # for a sweep; any other run checked before its first write
-    return summary
+    return _dispatch(cfg, Path(output_dir))

@@ -272,14 +272,14 @@ initial.kind = gaussian
 
 # one small run of every experiment, on 256 points
 EXPERIMENT_CASES = [
-    ("decay", "propagator.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
-    ("linear_channels", "propagator.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
+    ("decay", "solver.dt = 0.05\ndecay.times = 1.0, 2.0\ninitial.kind = gaussian"),
+    ("linear_channels", "solver.dt = 0.05\nchannels.n_max = 1\ninitial.kind = gaussian"),
     ("channels", "solver.dt = 0.03125\nchannels.wave_times = 1.0, 2.0"
      "\nchannels.n_max = 1\ninitial.kind = gaussian\ninitial.amplitude = 0.05"),
     ("morawetz", "solver.dt = 0.01\nsolver.t_final = 1.0\nsolver.record_stride = 0.1"
      "\nmorawetz.t_min = 0.5\ninitial.kind = gaussian"),
-    ("profiles", "propagator.dt = 0.05\nprofiles.fixture = two_bump\nprofiles.t_window = 1.0"),
-    ("translation_gap", "propagator.dt = 0.05\ntranslation.shifts = -4.0, -8.0"
+    ("profiles", "solver.dt = 0.05\nprofiles.fixture = two_bump\nprofiles.t_window = 1.0"),
+    ("translation_gap", "solver.dt = 0.05\ntranslation.shifts = -4.0, -8.0"
      "\ntranslation.t_span = 0.0, 1.0\ninitial.kind = gaussian"),
     ("check_potential", ""),
     ("sweep", "solver.dt = 0.01\nsolver.t_final = 0.5\nsolver.record_stride = 0.25"
@@ -392,7 +392,7 @@ class TestExperiments:
             grid.length = 60.0
             potential.family = flat
             potential.a_minus = 1.0
-            propagator.dt = 0.02
+            solver.dt = 0.02
             channels.n_max = 1
             initial.kind = gaussian
             """
@@ -409,7 +409,7 @@ class TestExperiments:
         # only when there are two of them; with fewer the flag is null
         cfg = parse_config_text(
             f"experiment = linear_channels\ngrid.n_points = 256\ngrid.length = 40.0\n"
-            f"propagator.dt = 0.05\nchannels.n_max = {n_max}\ninitial.kind = gaussian\n"
+            f"solver.dt = 0.05\nchannels.n_max = {n_max}\ninitial.kind = gaussian\n"
         )
         summary = run(cfg, output_dir=tmp_path / "lc")
         for flag, kind in (("cauchy_gaps_decreasing", cauchy),
@@ -424,7 +424,7 @@ class TestExperiments:
             grid.n_points = 512
             grid.length = 100.0
             potential.family = flat
-            propagator.dt = 0.05
+            solver.dt = 0.05
             profiles.fixture = noise
             profiles.amplitude = 0.3
             profiles.count = 5
@@ -497,7 +497,7 @@ class TestExperiments:
             grid.n_points = 1024
             grid.length = 400.0
             potential.family = flat
-            propagator.dt = 0.05
+            solver.dt = 0.05
             decay.times = 1.0, 2.0, 4.0
             initial.kind = gaussian
             """
@@ -528,6 +528,15 @@ class TestExperiments:
         assert summary["repulsive_series_nonnegative"] is True
         assert summary["integral_value"] > 0
         assert len(summary["increment_ratios"]) == 1  # doubling [1,2] -> [2,4]
+
+    def test_morawetz_saturates_is_null_without_a_ratio(self, tmp_path):
+        # t_final = 2 from t_min = 1 leaves no doubling window past [1, 2], so
+        # no increment ratio: saturates is null, not a false that cannot hold
+        cfg = parse_config_text(MORAWETZ_CFG.replace("solver.t_final = 16.0", "solver.t_final = 2.0"))
+        summary = run(cfg, output_dir=tmp_path / "mor")
+        assert summary["increment_ratios"] == []
+        assert summary["saturates"] is None
+        assert _strict_json(tmp_path / "mor" / "summary.json")["saturates"] is None
 
     def test_morawetz_run_is_the_report_on_solve(self, tmp_path):
         cfg = parse_config_text(MORAWETZ_CFG)
@@ -601,7 +610,7 @@ class TestExperiments:
             potential.family = gaussian_matched_step
             potential.height = 2.0
             potential.width = 1.0
-            propagator.dt = 0.02
+            solver.dt = 0.02
             translation.shifts = -20.0, -40.0
             translation.t_span = 0.0, 2.0
             solver.alpha = 5.0
@@ -762,7 +771,7 @@ class TestExperiments:
         "experiment, parameter, values, settings",
         [("evolve", "grid.n_points", [64, 128], "solver.dt = 0.01\nsolver.t_final = 0.3"
           "\nsolver.record_stride = 0.1\ninitial.kind = gaussian"),
-         ("decay", "potential.height", [1.5, 2.0], "grid.n_points = 256\npropagator.dt = 0.05"
+         ("decay", "potential.height", [1.5, 2.0], "grid.n_points = 256\nsolver.dt = 0.05"
           "\ndecay.t_min = 0.5\ndecay.t_max = 2.0\ndecay.num = 3\ninitial.kind = gaussian")],
         ids=["evolve_resolution", "decay_height"],
     )
@@ -799,6 +808,14 @@ class TestExperiments:
         rows = (tmp_path / "ev" / "series.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == times
 
+    def test_record_stride_of_one_step(self, tmp_path):
+        # 0.035 / 0.005 = 7.000000000000001 strides over seven steps: a
+        # record per step, which roundoff in the quotient must not refuse
+        cfg = (parse_config_text(EVOLVE_CFG).with_override("solver.dt", 0.005)
+               .with_override("solver.t_final", 0.035).with_override("solver.record_stride", 0.005))
+        run(cfg, output_dir=tmp_path / "ev")
+        assert len((tmp_path / "ev" / "series.csv").read_text().splitlines()) == 1 + 8
+
     def test_sweep_over_strings_rejected_before_runs(self, tmp_path):
         cfg = parse_config_text(
             EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")
@@ -818,6 +835,7 @@ class TestExperiments:
 class TestWriter:
     def test_numpy_values_write_like_python_values(self, tmp_path):
         cfg = parse_config_text("experiment = evolve\nnote = a, b\n")
+        cfg.get("note")  # _write_outputs refuses an unread key; the note's echo stays a comma string
         as_numpy = {
             "f": np.float64(0.1),
             "i": np.int64(-7),
@@ -980,7 +998,7 @@ class TestCli:
         # a ValueError, which exits 1 with a traceback
         cfg = self._write_cfg(
             tmp_path, f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n"
-            f"propagator.dt = 0.05\ninitial.kind = gaussian\n{settings}\n",
+            f"solver.dt = 0.05\ninitial.kind = gaussian\n{settings}\n",
         )
         out = tmp_path / "o"
         assert main([experiment, "--config", str(cfg), "--output-dir", str(out)]) == 2
@@ -1242,6 +1260,43 @@ class TestCli:
         assert err["message"].endswith(f"no run reads {key}")
         assert not out.exists()
 
+    def test_channels_n_max_below_one_exits_2_before_the_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(problem):
+            raise AssertionError("the solve ran before channels.n_max was checked")
+
+        monkeypatch.setattr(experiments, "solve", refuse)
+        text = LEGS_CFG.replace("channels.n_max = 1", "channels.n_max = 0")
+        cfg = self._write_cfg(tmp_path, text + "channels.wave_times = 2.0, 4.0\n")
+        out = tmp_path / "o"
+        assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "channels.n_max" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("solver.record_stride = 0.25", "solver.record_stride = 1e-300", "solver.record_stride"),
+        ("solver.record_stride = 0.25", "solver.record_stride = 5e-324", "solver.record_stride"),
+        ("solver.t_final = 1.0", "solver.t_final = -1.0", "solver.t_final"),
+    ], ids=["stride_1e-300", "stride_5e-324", "negative_t_final"])
+    def test_record_grid_refused_before_the_solve_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                         old, new, key):
+        # unchecked, 1e-300 asks numpy for 1e300 records (ValueError), 5e-324
+        # rounds t_final / stride = inf (OverflowError), and a negative
+        # t_final makes an empty grid (IndexError): each exits 1
+        def kernel(*args, **kwargs):
+            raise AssertionError("the solver kernel ran")
+
+        monkeypatch.setattr(solver, "strang", kernel)
+        cfg = self._write_cfg(tmp_path, EVOLVE_CFG.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not out.exists()
+
     def test_channels_wave_times_off_the_step_lattice_exit_2(self, tmp_path, capsys):
         # a pullback leg that ends off the step lattice takes a shrunken
         # substep, and the gaps would again hold splitting error
@@ -1293,6 +1348,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].endswith(f"no run reads {key}")
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [("sweep.parameter = solver.alpah\n", "solver.alpah"),
+         ("sweep.parameter = solver.alpha\nsolver.dtt = 0.5\n", "solver.dtt"),
+         ("sweep.parameter = solver.alpha\nsolver.alpha = 5.0\n", "solver.alpha")],
+        ids=["misspelled_parameter", "stale_key", "swept_base_value"],
+    )
+    def test_sweep_refused_before_its_first_write(self, tmp_path, capsys, settings, key):
+        # each point checks its own reads before it writes, so a swept key
+        # that no point reads, or a stale one, leaves no run_NNN/ behind; a
+        # base value of the swept key is refused before the first point
+        text = (_without(EVOLVE_CFG, "solver.alpha").replace("experiment = evolve", "experiment = sweep")
+                + "sweep.experiment = evolve\nsweep.values = 4.5, 6.0\n" + settings)
+        cfg = self._write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].endswith(f"no run reads {key}")
+        assert not out.exists()
 
     def test_refused_config_writes_no_artifacts(self, tmp_path, capsys):
         # the unread-key check comes before the run's first write
@@ -1389,7 +1463,7 @@ class TestCli:
 
     def test_bad_seed_exit_2_on_a_fixture_that_draws_nothing(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, "experiment = profiles\nseed = abc\ngrid.n_points = 256\n"
-                              "grid.length = 40.0\npropagator.dt = 0.05\n"
+                              "grid.length = 40.0\nsolver.dt = 0.05\n"
                               "profiles.fixture = two_bump\nprofiles.t_window = 1.0\n")
         out = tmp_path / "o"
         assert main(["profiles", "--config", str(cfg), "--output-dir", str(out)]) == 2

@@ -1,8 +1,11 @@
 """The shipped configs in ``configs/``: each parses, names a runnable
 experiment, survives the rendered echo with its types, has every key read
 by its run and named in the ``snls.config`` key reference; ``channels.cfg``
-keeps the premise its run relies on."""
+keeps the premise its run relies on.  The key reference names exactly the
+keys that the runs read."""
 
+import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +67,8 @@ QUICK = {
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_key_is_read(path, tmp_path):
-    # sweep and channels read configs made by with_override, whose reads
-    # count for the config they were made from
+    # with_override makes a plain copy, and run records its reads in the
+    # config it was given; a sweep adds its points' reads to its own
     cfg = parse_config(path)
     quick = QUICK[cfg.experiment()]
     assert set(quick) <= set(cfg.entries)
@@ -93,3 +96,17 @@ def _reference_keys():
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_every_shipped_key_is_in_the_key_reference(path):
     assert set(parse_config(path).entries) <= _reference_keys()
+
+
+def test_key_reference_names_the_keys_the_runs_read():
+    # the keys passed as literals to cfg.get* in snls.experiments, and the
+    # experiment key that RunConfig.experiment reads
+    tree = ast.parse(inspect.getsource(experiments))
+    read = {"experiment"} | {
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg"
+        and node.func.attr.startswith("get") and node.args
+        and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+    }
+    assert read == _reference_keys()
