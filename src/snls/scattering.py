@@ -151,7 +151,8 @@ def channel_convergence_study(
 
 
 def _channel_study(psi: ComplexField, states) -> ChannelStudy:
-    """Pairs, Cauchy gaps and defects from the flow of psi at the ``_channel_times``.
+    """Pairs, Cauchy gaps and defects from the flow of psi at the ``_channel_times``;
+    psi is only the mass reference, so any state of that unitary flow serves.
 
     The reconstruction defect of the n-th pair is measured at the held-out
     next endpoint t = 2*pi*(n+1): at the pair's own extraction time the
@@ -194,9 +195,9 @@ def nonlinear_wave_state(traj: Trajectory, p: PerturbedPropagator, T: float) -> 
 
 def _wave_gaps(
     traj: Trajectory, p: PerturbedPropagator, times, flow_times=()
-) -> tuple[list[float], ComplexField, list[ComplexField]]:
-    """The wave-operator gaps of the recorded times, psi_plus(T_max), and the
-    flow of psi_plus(T_max) at each of ``flow_times``.
+) -> tuple[list[float], list[ComplexField]]:
+    """The wave-operator gaps of the recorded times, and the flow of
+    psi_plus(T_max) at each of ``flow_times``.
 
     For sorted times T_1 < ... < T_K the i-th gap is
     |exp(-i(T_{i+1} - T_i)(dxx-V)) u(T_{i+1}) - u(T_i)|_h1v: the linear flow
@@ -204,7 +205,7 @@ def _wave_gaps(
     only its own leg.  Each leg but the last is a one-row flow of its own.
     One backward sweep of u(T_max) visits, in decreasing order, the flow
     times at or below T_max and T_{K-1}, where it gives the last gap, and
-    ends at psi_plus(T_max) at t = 0.  Flow times past T_max run forward
+    ends at the lowest of them.  Flow times past T_max run forward
     from u(T_max).  Unchecked: p is the solve's own splitting at its step
     and the times lie on its step lattice, as ``channels`` makes them; the
     flow times are at or above 0.
@@ -227,13 +228,12 @@ def _wave_gaps(
     stops = [(flow_times[j], j) for j in np.flatnonzero(flow_times <= t_max)]
     stops += [(times[-2], -1)] if len(times) > 1 else []
     stops.sort(key=lambda stop: -stop[0])
-    sweep = p._flow(snapshots[-1], [t for t, _ in stops] + [0.0], t_max)
-    for (_, j), u in zip(stops, sweep):
+    for (_, j), u in zip(stops, p._flow(snapshots[-1], [t for t, _ in stops], t_max)):
         if j < 0:
             gaps.append(gap(u, -2))
         else:
             flows[j] = ComplexField(grid, u)
-    return gaps, ComplexField(grid, next(sweep)), flows
+    return gaps, flows
 
 
 def translation_flow_gap(

@@ -416,6 +416,23 @@ class TestExperiments:
                            ("reconstruction_decreasing", reconstruction)):
             assert type(summary[flag]) is kind
 
+    @pytest.mark.parametrize("experiment", ["channels", "linear_channels"])
+    def test_one_channel_pair_reports_no_cauchy_gap(self, tmp_path, experiment):
+        # the n = 1 pair has no predecessor: a gap of 0.0 would read as a
+        # perfect score from no comparison, so it is null; n_max = 2 has one
+        base = (f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 80.0\n"
+                "potential.family = gaussian_matched_step\nsolver.dt = 0.0078125\n"
+                "initial.kind = gaussian\ninitial.amplitude = 0.05\n")
+        base += "solver.alpha = 5.0\nchannels.wave_times = 2.0\n" if experiment == "channels" else ""
+        for n_max in (1, 2):
+            out = tmp_path / f"n{n_max}"
+            summary = run(parse_config_text(base + f"channels.n_max = {n_max}\n"), output_dir=out)
+            written = _strict_json(out / "summary.json")["final_cauchy_gap"]
+            if n_max == 1:
+                assert summary["final_cauchy_gap"] is None and written is None
+            else:
+                assert summary["final_cauchy_gap"] == written > 0.0
+
     def test_profiles_noise_fixture(self, tmp_path):
         cfg = parse_config_text(
             """
@@ -645,11 +662,12 @@ class TestExperiments:
         assert _strict_json(tmp_path / "ch" / "summary.json")["gaps_decreasing"] is None
 
     def test_channels_study_adds_only_the_forward_tail(self, tmp_path, monkeypatch):
-        # the study reads its flow off the backward sweep of u(T_max): past the
-        # sweep's T_max/dt steps and the earlier legs' (T_{K-1} - T_1)/dt, it
-        # may add the forward tail from T_max to the last study time and one
-        # remainder substep per time off the step lattice.  T_{K-1} = 8 lies
-        # above 2pi, so a sweep that read it after 2pi would go over the bound
+        # the study reads its flow off the backward sweep of u(T_max), which
+        # stops at the lattice point of its lowest stop, 2pi: past the sweep's
+        # steps and the earlier legs' (T_{K-1} - T_1)/dt, it may add the
+        # forward tail from T_max to the last study time and one remainder
+        # substep per time off the step lattice.  T_{K-1} = 8 lies above 2pi,
+        # so a sweep that read it after 2pi, or went on to 0, would go over the bound
         dt, wave_times = 0.0078125, [4.0, 8.0, 12.0]
         t_max, legs = wave_times[-1], wave_times[-2] - wave_times[0]
         substeps = []
@@ -682,7 +700,7 @@ class TestExperiments:
         study_times = math.pi * np.arange(2, 5)
         off_lattice = sum(bool(substep_sizes(t, dt)[1]) for t in study_times)
         tail = math.ceil((study_times[-1] - t_max) / dt)
-        least = (t_max + legs) / dt
+        least = t_max / dt - math.floor(study_times[0] / dt) + legs / dt
         assert least <= sum(substeps) <= least + tail + off_lattice
 
     def test_channels_three_wave_times(self, tmp_path):

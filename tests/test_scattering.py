@@ -162,7 +162,7 @@ class TestWaveOperator:
         traj = snls.solve(snls.NlsProblem(grid=channel_grid, v=v, alpha=5.0, u0=u0, dt=2.0**-7,
                                           t_final=max(times), record_times=sorted(times)))
         p = snls.PerturbedPropagator(channel_grid, v, dt=2.0**-7)
-        gaps, psi_plus, flow = scattering._wave_gaps(traj, p, times)
+        gaps, flow = scattering._wave_gaps(traj, p, times)
         waves = [snls.nonlinear_wave_state(traj, p, T) for T in sorted(times)]
         assert flow == [] and len(gaps) == len(times) - 1
         # the splitting conserves h1v only to O(dt^2): here the two forms agree
@@ -171,8 +171,6 @@ class TestWaveOperator:
         for gap, a, b in zip(gaps, waves, waves[1:]):
             pulled = snls.h1v_norm_sq(snls.ComplexField(channel_grid, b.values - a.values), v)
             assert gap == pytest.approx(pulled**0.5, rel=2e-5)
-        # the sweep stops at T_{K-1} on its way down: 4.2e-15 relative at worst
-        assert l2_dist(psi_plus, waves[-1]) <= 1e-14 * snls.l2_norm_sq(waves[-1]) ** 0.5
 
     def test_pullback_reads_the_study_flow_off_its_longest_row(self, channel_grid):
         # 2pi and 3pi lie within T_max = 10 and are read off the backward sweep
@@ -184,8 +182,9 @@ class TestWaveOperator:
                                           t_final=times[-1], record_times=times))
         p = snls.PerturbedPropagator(channel_grid, v, dt=dt)
         study_times = scattering._channel_times(2)
-        (gap,), psi_plus, flow = scattering._wave_gaps(traj, p, times, study_times)
+        (gap,), flow = scattering._wave_gaps(traj, p, times, study_times)
         assert len(flow) == len(study_times)
+        psi_plus = snls.nonlinear_wave_state(traj, p, times[-1])
         # Strang steps of -dt invert those of +dt, so the states read on the
         # way down are the lattice flow from psi_plus at roundoff
         for state, direct in zip(flow, p.evolve_through(psi_plus, study_times)):

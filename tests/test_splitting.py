@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snls
@@ -337,6 +337,8 @@ def packets(grid, seed, count):
 @examples
 @given(st.sampled_from(snls.PerturbedPropagator.METHODS), grids, heights,
        st.floats(5e-3, 0.1), time_lists, st.integers(1, 6), st.integers(0, 2**32 - 1))
+# the drawn grids lie below PAIR_POINTS; N = 2048 takes the half-length pair
+@example("strang_splitting", 11, 2.0, 0.05, [0.5, -0.33, 0.5], 3, 7)
 def test_stacked_flow_is_per_row_evolve_through(method, n_exp, height, dt, times, count,
                                                 seed):
     grid, v, _ = setting(n_exp, height, 1.0, 0.0)
@@ -480,6 +482,7 @@ def search_member_by_member(grid, p):
 @examples
 @given(grids, heights, st.floats(2e-3, 2e-2), gaps, st.lists(st.floats(4.5, 7.0), min_size=1,
        max_size=6), st.integers(0, 2**32 - 1))
+@example(11, 2.0, 0.01, [0.113, 0.2], [5.0, 4.5, 6.0], 3)  # the half-length pair
 def test_stacked_nonlinear_strang_is_per_row_strang(n_exp, height, dt, gaps, alphas, seed):
     grid, v, _ = setting(n_exp, height, 1.0, 0.0)
     rows = packets(grid, seed, len(alphas))
