@@ -60,7 +60,7 @@ MAX_SPLITTING_DT = 0.1
 SMALL_ROTATION = 1e-8
 # Least number of points whose kinetic substep runs on the even/odd pair of
 # half-length transforms (``strang``): one row's step ran 3-10 % faster with
-# it at 1024 points and 10-16 % at 2048, but a (3, N) stacked step ran 4-5 %
+# it at 1024 points and 10-16 % at 2048, but a (3, N) stacked step ran 3-7 %
 # slower at 1024-4096 points, and ``sweep`` stacks rows of 1024 points.
 PAIR_POINTS = 2048
 
