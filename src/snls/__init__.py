@@ -15,7 +15,6 @@ from .diagnostics import (
     strichartz_norm,
 )
 from .errors import (
-    CapabilityError,
     ConfigError,
     DomainError,
     GridMismatchError,
@@ -51,7 +50,6 @@ from .propagators import (
     evolve_free,
     evolve_shifted,
     free_decay_constant,
-    spectral_second_derivative_matrix,
 )
 from .scattering import (
     ChannelPair,
@@ -59,7 +57,6 @@ from .scattering import (
     Profile,
     ProfileSet,
     channel_convergence_study,
-    extract_linear_channels,
     greedy_profile_decomposition,
     nonlinear_wave_state,
     translation_flow_gap,

@@ -21,10 +21,6 @@ class GridMismatchError(SnlsError):
     """Two objects that must share a grid do not."""
 
 
-class CapabilityError(SnlsError):
-    """A method was requested beyond its size or feature limits."""
-
-
 class InstabilityError(SnlsError):
     """The time integration blew past the stability guard."""
 

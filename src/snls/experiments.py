@@ -348,8 +348,8 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
 def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     wave_times = sorted(cfg.get_float_list("channels.wave_times", [10.0, 20.0, 40.0]))
     problem = _evolve_problem(cfg, wave_times)
-    # the legs undo the solve's own splitting: at another step or by another
-    # method the wave-operator gaps would measure splitting error
+    # the legs undo the solve's own splitting: at another step the
+    # wave-operator gaps would measure splitting error
     prop = _build_propagator(cfg, problem.grid, problem.v)
     # each leg runs between two wave times, and the backward sweep that the
     # channel study is read off starts at the last one, on the step lattice

@@ -1,31 +1,17 @@
 """The linear flows: free, mass-shifted, and potential-perturbed.
 
 exp(i*t*dxx) and exp(i*t*(dxx - 1)) are exact Fourier multipliers; the
-perturbed group exp(i*t*(dxx - V)) is realized two independent ways:
-
-- ``strang_splitting``: the splitting kernel ``strang`` with the exact
-  kinetic multiplier exp(-i*h*xi^2) and the exact potential phase
-  exp(-i*h*V).  Every substep is unitary, so mass is conserved to roundoff
-  for any step size; the scheme is second order in the substep h.  A
-  requested time off the lattice of substep multiples is one remainder
-  substep from its lattice point, so endpoint times (multiples of pi for the
-  channel extraction) are hit exactly.
-
-- ``eigendecomposition``: dense diagonalization of H = -D2 + diag(V) where
-  D2 is the closed-form differentiation matrix of the trigonometric
-  interpolant (entries -(-1)^(i-j) / (2 sin^2((i-j)h/2)) scaled to the box,
-  no FFT involved), then u(t) = Q exp(-i*E*t) Q^T u.  This route shares no
-  code with the transform stack and is exact in time, which makes it the
-  reference oracle for the splitting; it is capped at 1024 points because
-  it is dense.
-
-A constant V = c needs neither: the splitting path then applies
-exp(-i*t*(xi^2 + c)), the exact flow, as one multiplier per time, with no
-lattice and no substeps.
-
-Both realizations conserve the V-weighted H1 functional of the linear
-conservation law: exactly (up to roundoff) for the eigendecomposition, and
-with O(h^2) drift for the splitting.
+perturbed group exp(i*t*(dxx - V)) is the splitting kernel ``strang`` with
+the exact kinetic multiplier exp(-i*h*xi^2) and the exact potential phase
+exp(-i*h*V).  Every substep is unitary, so mass is conserved to roundoff for
+any step size; the scheme is second order in the substep h, and the
+V-weighted H1 functional of the linear conservation law drifts by O(h^2).
+A requested time off the lattice of substep multiples is one remainder
+substep from its lattice point, so endpoint times (multiples of pi for the
+channel extraction) are hit exactly.  A constant V = c needs no splitting:
+the flow is then exp(-i*t*(xi^2 + c)), exact, one multiplier per time, with
+no lattice and no substeps.  The tests check the splitting against an
+eigendecomposition oracle that is exact in time, ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, GridMismatchError, InstabilityError, ParameterError
+from .errors import GridMismatchError, InstabilityError, ParameterError
 from .grid import ComplexField, Grid
 
 __all__ = [
@@ -45,11 +31,9 @@ __all__ = [
     "evolve_shifted",
     "free_decay_constant",
     "PerturbedPropagator",
-    "spectral_second_derivative_matrix",
     "substep_sizes",
 ]
 
-EIG_SIZE_CAP = 1024
 MAX_SPLITTING_DT = 0.1
 # Largest quintic rotation theta = |tau| * sup|u|^5 that the local
 # phase writes as 1 + i*theta instead of cos(theta) + i*sin(theta).  Below
@@ -282,70 +266,22 @@ def strang(u: np.ndarray, spans, dt: float, kinetic, phase):
         yield u
 
 
-def spectral_second_derivative_matrix(grid: Grid) -> np.ndarray:
-    """Dense second-derivative matrix of the periodic trigonometric interpolant.
-
-    Built from the classical closed-form entries (no transforms), symmetric,
-    and identical in exact arithmetic to conjugating diag(-xi^2) with the
-    DFT.
-    """
-    n = grid.n_points
-    h = 2.0 * math.pi / n
-    offsets = np.arange(1, n)
-    row = np.empty(n)
-    row[0] = -(math.pi**2) / (3.0 * h**2) - 1.0 / 6.0
-    row[1:] = -((-1.0) ** offsets) / (2.0 * np.sin(offsets * h / 2.0) ** 2)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    d2 = row[idx]
-    return (2.0 * math.pi / grid.length) ** 2 * d2
-
-
-def _real_matmul(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """z @ m for complex z and real m, without casting m to a complex copy."""
-    return z.real @ m + 1j * (z.imag @ m)
-
-
 class PerturbedPropagator:
-    """exp(i*t*(dxx - V)) on a fixed grid, by splitting or diagonalization.
+    """exp(i*t*(dxx - V)) on a fixed grid, by Strang splitting at substep dt.
 
-    Instances are immutable after construction and safe to share; the
-    eigendecomposition is computed lazily and cached per instance.
+    Instances are immutable after construction and safe to share.
     """
 
-    METHODS = ("strang_splitting", "eigendecomposition")
-
-    def __init__(
-        self,
-        grid: Grid,
-        v,
-        method: str = "strang_splitting",
-        dt: float = 1e-3,
-    ):
+    def __init__(self, grid: Grid, v, dt: float = 1e-3):
         v = _frozen_potential(v, grid)
-        if method not in self.METHODS:
-            raise ParameterError(f"method must be one of {self.METHODS}, got {method!r}")
-        if method == "strang_splitting" and not (0.0 < dt <= MAX_SPLITTING_DT):
+        if not (0.0 < dt <= MAX_SPLITTING_DT):
             raise ParameterError(f"splitting substep must satisfy 0 < dt <= {MAX_SPLITTING_DT}")
-        if method == "eigendecomposition" and grid.n_points > EIG_SIZE_CAP:
-            raise CapabilityError(
-                f"eigendecomposition is capped at {EIG_SIZE_CAP} points "
-                f"(got {grid.n_points}); use strang_splitting"
-            )
         self.grid = grid
         self.v = v
-        self.method = method
         self.dt = float(dt)
-        self._eig = None
         self._rules = strang_rules(grid, v, self.dt)
         # a constant V = c is the one multiplier exp(-i*t*(xi^2 + c)) per time
-        flat = method == "strang_splitting" and np.all(v == v[0])
-        self._flat_xi2 = grid.wavenumbers**2 + v[0] if flat else None
-
-    def _eigensystem(self):
-        if self._eig is None:
-            ham = -spectral_second_derivative_matrix(self.grid) + np.diag(self.v)
-            self._eig = np.linalg.eigh(ham)
-        return self._eig
+        self._flat_xi2 = grid.wavenumbers**2 + v[0] if np.all(v == v[0]) else None
 
     def evolve(self, f: ComplexField, t: float) -> ComplexField:
         return next(self.evolve_through(f, (t,)))
@@ -353,10 +289,10 @@ class PerturbedPropagator:
     def evolve_through(self, f: ComplexField, times) -> Iterator[ComplexField]:
         """Yield exp(i*t_k*(dxx - V)) f for each t_k in order (any sign, repeats allowed).
 
-        One kernel sweep over the times' lattice points, or one projection
-        onto the eigenbasis; each yield is ``evolve(f, t_k)`` at roundoff,
-        whatever other times were requested.  A constant V is one Fourier
-        multiplier per time, exact in time and with no lattice.
+        One kernel sweep over the times' lattice points; each yield is
+        ``evolve(f, t_k)`` at roundoff, whatever other times were requested.
+        A constant V is one Fourier multiplier per time, exact in time and
+        with no lattice.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or not np.all(np.isfinite(times)):
@@ -372,22 +308,16 @@ class PerturbedPropagator:
         the dt lattice, and leaves u unchanged while it reads the flow.  For
         a constant V = c the flow is exact in time, with no lattice: one FFT
         of u, then ifft(exp(-i*(t - start)*(xi^2 + c)) * fft(u)) at each
-        time, and a copy of u at t = start.  Otherwise the splitting path
-        sweeps the times' lattice points (``substep_sizes``, signed) in one
-        kernel call and yields its buffer there, or one remainder substep on
-        a copy off the lattice.  ``np.fft`` works along the last axis, so
-        each row is its own flow.
+        time, and a copy of u at t = start.  Otherwise it sweeps the times'
+        lattice points (``substep_sizes``, signed) in one kernel call and
+        yields its buffer there, or one remainder substep on a copy off the
+        lattice.  ``np.fft`` works along the last axis, so each row is its
+        own flow.
         """
         if self._flat_xi2 is not None:
             uhat = np.fft.fft(u)
             return (u.copy() if t == start
                     else np.fft.ifft(_multiplier(self._flat_xi2, t - start) * uhat) for t in times)
-        if self.method == "eigendecomposition":
-            energies, modes = self._eigensystem()
-            coeff = _real_matmul(u, modes)
-            return (
-                _real_matmul(np.exp(-1j * energies * (t - start)) * coeff, modes.T) for t in times
-            )
         n_k, rems = [], []
         for t in (start, *times):
             n, rem = substep_sizes(t, self.dt)

@@ -68,7 +68,6 @@ from .solver import Trajectory
 __all__ = [
     "ChannelPair",
     "ChannelStudy",
-    "extract_linear_channels",
     "channel_convergence_study",
     "nonlinear_wave_state",
     "translation_flow_gap",
@@ -101,15 +100,6 @@ def _reconstruction_defect(state: ComplexField, pair: ChannelPair, t: float) -> 
     """|state - exp(it dxx)eta - exp(it(dxx-1))gamma|_L2, the pair's miss of state at t."""
     recon = state.values - evolve_free(pair.eta, t).values - evolve_shifted(pair.gamma, t).values
     return l2_norm_sq(ComplexField(state.grid, recon)) ** 0.5
-
-
-def extract_linear_channels(
-    p: PerturbedPropagator, psi: ComplexField, n: int
-) -> ChannelPair:
-    """Extract (eta, gamma) at subsequence index n >= 1: the last pair of
-    ``channel_convergence_study(p, psi, n)``, whose Cauchy gap is taken
-    against the (n-1)-extraction (0.0 at n = 1)."""
-    return channel_convergence_study(p, psi, n).pairs[-1]
 
 
 @dataclass(frozen=True, eq=False)

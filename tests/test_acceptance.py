@@ -18,6 +18,7 @@ from snls.potentials import (
 )
 
 from conftest import h1_dist, l2_dist
+from oracle import EigenPropagator
 
 pytestmark = pytest.mark.acceptance
 
@@ -69,7 +70,7 @@ class TestCriterion2PropagatorOracle:
         f = snls.gaussian_packet(g)
 
         strang = snls.PerturbedPropagator(g, v, dt=1e-3)
-        eig = snls.PerturbedPropagator(g, v, method="eigendecomposition")
+        eig = EigenPropagator(g, v)
         agreement = l2_dist(strang.evolve(f, 1.0), eig.evolve(f, 1.0))
 
         gl_eig = l2_dist(eig.evolve(eig.evolve(f, 0.7), 1.9), eig.evolve(f, 2.6))
@@ -145,10 +146,10 @@ class TestCriterion4LinearChannels:
         g = snls.Grid(512, 100.0)
         psi = snls.gaussian_packet(g)
         p0 = snls.PerturbedPropagator(g, np.zeros(g.n_points), dt=0.02)
-        pair0 = snls.extract_linear_channels(p0, psi, 2)
+        pair0 = snls.channel_convergence_study(p0, psi, 2).pairs[-1]
         err0 = l2_dist(pair0.eta, psi) + snls.l2_norm_sq(pair0.gamma) ** 0.5
         p1 = snls.PerturbedPropagator(g, np.ones(g.n_points), dt=0.02)
-        pair1 = snls.extract_linear_channels(p1, psi, 2)
+        pair1 = snls.channel_convergence_study(p1, psi, 2).pairs[-1]
         err1 = snls.l2_norm_sq(pair1.eta) ** 0.5 + l2_dist(pair1.gamma, psi)
         elapsed = time.perf_counter() - t0
         ok = err0 < 1e-12 and err1 < 1e-12

@@ -1278,6 +1278,23 @@ class TestCli:
         assert err["message"].endswith(f"no run reads {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["decay", "linear_channels", "translation_gap",
+                                            "profiles"])
+    def test_linear_run_propagator_key_exit_2(self, tmp_path, capsys, experiment):
+        # these runs once read propagator.method; every linear flow is now
+        # the splitting at solver.dt, so a stale key is refused, unwritten
+        cfg = self._write_cfg(
+            tmp_path,
+            f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n"
+            f"{dict(EXPERIMENT_CASES)[experiment]}\npropagator.method = eigendecomposition\n",
+        )
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].endswith("no run reads propagator.method")
+        assert not out.exists()
+
     def test_channels_n_max_below_one_exits_2_before_the_solve(self, tmp_path, capsys,
                                                               monkeypatch):
         def refuse(problem):

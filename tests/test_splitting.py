@@ -9,11 +9,11 @@ roundoff on every snapshot.
 
 ``PerturbedPropagator.evolve_through`` samples the linear flow at a list of
 times in one sweep; it must reproduce one ``evolve`` call per time to
-roundoff on the splitting path, and chained ``evolve`` calls to roundoff on
-the eigendecomposition path.  The
-same flow run on a (B, N) stack of rows must reproduce each row's own
+roundoff.  The eigendecomposition oracle of ``tests/oracle.py`` inherits
+``evolve_through`` and must reproduce chained ``evolve`` calls to roundoff.
+The same flow run on a (B, N) stack of rows must reproduce each row's own
 sweep, and so must the profile search that runs its ensemble as one stack:
-on the splitting path its profiles, remainder and defects are those of a
+on the splitting its profiles, remainder and defects are those of a
 per-member ``translate`` + ``evolve`` loop, bit for bit.
 The nonlinear kernel on a stack with one power per row must reproduce each
 row's own run bit for bit, and so must an ``evolve`` sweep run in stacks.
@@ -35,6 +35,8 @@ from snls.cli import main
 from snls.errors import GridMismatchError, ParameterError
 from snls.propagators import SMALL_ROTATION, local_phase, strang, strang_rules, substep_sizes
 from snls.scattering import _lowpass, _median_field
+
+from oracle import EigenPropagator
 
 examples = settings(max_examples=30)
 # coarse grids trip the resolution and wrap-around monitors, which these
@@ -112,6 +114,8 @@ grids = st.integers(4, 8)  # N = 16 .. 256
 heights = st.floats(1.0, 3.0)  # a matched step needs height >= a_plus = 1
 amplitudes = st.floats(0.05, 1.0)
 momenta = st.floats(-2.0, 2.0)
+# the two realizations of the perturbed flow, built as (grid, v, dt=...)
+builders = st.sampled_from([snls.PerturbedPropagator, EigenPropagator])
 # gaps between record times, drawn off the step lattice so that most
 # segments end on a shrunken remainder substep
 gaps = st.lists(st.floats(0.013, 0.4), min_size=1, max_size=4)
@@ -289,7 +293,7 @@ def test_evolve_through_splitting_is_direct_evolve(n_exp, height, amplitude, mom
 def test_evolve_through_eigendecomposition_matches_chained(n_exp, height, amplitude,
                                                            momentum, times):
     grid, v, u0 = setting(n_exp, height, amplitude, momentum)
-    p = snls.PerturbedPropagator(grid, v, method="eigendecomposition")
+    p = EigenPropagator(grid, v)
     swept = list(p.evolve_through(u0, times))
     assert len(swept) == len(times)
     for a, b in zip(swept, chained(p, u0, times)):
@@ -297,12 +301,11 @@ def test_evolve_through_eigendecomposition_matches_chained(n_exp, height, amplit
 
 
 @examples
-@given(st.sampled_from(snls.PerturbedPropagator.METHODS), time_lists, st.integers(0, 5),
-       st.sampled_from([np.nan, np.inf, -np.inf]))
-def test_evolve_through_rejects_bad_input(method, times, at, bad):
+@given(builders, time_lists, st.integers(0, 5), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_evolve_through_rejects_bad_input(build, times, at, bad):
     # the errors are raised at the call, before any time is visited
     grid, v, u0 = setting(4, 1.5, 0.5, 0.0)
-    p = snls.PerturbedPropagator(grid, v, method=method)
+    p = build(grid, v)
     with pytest.raises(ParameterError):
         p.evolve_through(u0, times[:at] + [bad] + times[at:])
     other = snls.gaussian_packet(snls.Grid(grid.n_points, 2.0 * grid.length))
@@ -335,24 +338,24 @@ def packets(grid, seed, count):
 
 
 @examples
-@given(st.sampled_from(snls.PerturbedPropagator.METHODS), grids, heights,
-       st.floats(5e-3, 0.1), time_lists, st.integers(1, 6), st.integers(0, 2**32 - 1))
+@given(builders, grids, heights, st.floats(5e-3, 0.1), time_lists, st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
 # the drawn grids lie below PAIR_POINTS; N = 2048 takes the half-length pair
-@example("strang_splitting", 11, 2.0, 0.05, [0.5, -0.33, 0.5], 3, 7)
-def test_stacked_flow_is_per_row_evolve_through(method, n_exp, height, dt, times, count,
+@example(snls.PerturbedPropagator, 11, 2.0, 0.05, [0.5, -0.33, 0.5], 3, 7)
+def test_stacked_flow_is_per_row_evolve_through(build, n_exp, height, dt, times, count,
                                                 seed):
     grid, v, _ = setting(n_exp, height, 1.0, 0.0)
-    p = snls.PerturbedPropagator(grid, v, method=method, dt=dt)
+    p = build(grid, v, dt=dt)
     rows = packets(grid, seed, count)
     # the splitting path yields one buffer, overwritten at each time
     stacked = [u.copy() for u in p._flow(rows, np.asarray(times))]
     assert len(stacked) == len(times)
     for n, row in enumerate(rows):
         for u, f in zip(stacked, p.evolve_through(snls.ComplexField(grid, row), times)):
-            if method == "strang_splitting":
-                assert np.array_equal(u[n], f.values)
-            else:
+            if isinstance(p, EigenPropagator):
                 assert rel_l2(u[n], f.values) <= TOL
+            else:
+                assert np.array_equal(u[n], f.values)
 
 
 constants = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
@@ -415,8 +418,7 @@ def test_profile_search_is_per_member_search_on_eigendecomposition():
     # time t_n differs, so each placement is its own flow
     grid = snls.Grid(128, 40.0)
     v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), grid)
-    for p in (snls.PerturbedPropagator(grid, v, method="eigendecomposition"),
-              snls.PerturbedPropagator(grid, v, dt=0.05)):
+    for p in (EigenPropagator(grid, v), snls.PerturbedPropagator(grid, v, dt=0.05)):
         search_member_by_member(grid, p)
 
 
@@ -453,7 +455,7 @@ def search_member_by_member(grid, p):
         x_shifts = [grid.x[int(np.argmax(np.abs(_lowpass(b, grid, radius))))] for b in best]
         assert np.array_equal(pr.t_shifts, t_shifts)
         assert np.array_equal(pr.x_shifts, x_shifts)
-        if p.method == "strang_splitting":
+        if not isinstance(p, EigenPropagator):
             # a stacked sweep is each row's own sweep bit for bit; the
             # eigenbasis projects a stack in one matrix product, at roundoff
             recentred = [snls.translate(snls.ComplexField(grid, b), -x).values
