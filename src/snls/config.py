@@ -34,14 +34,12 @@ Recognized keys (see README for the per-experiment required sets):
     initial.kind              gaussian | checkpoint
     initial.amplitude/width/center/momentum
     initial.checkpoint        path, for initial.kind = checkpoint
-    solver.alpha/dt/t_final   dt: the Strang step of every run's flow
+    solver.alpha/dt/t_final   alpha > 4; dt: every run's Strang step
     solver.record_stride      snapshot spacing, at most one snapshot per step
-    solver.record_times       snapshot times (list), in place of record_stride
+    solver.record_times       snapshot times (list) ending at t_final, in place
+                              of record_stride
     solver.linear             drop the nonlinear term
-    solver.permissive         allow alpha <= 4
-    decay.times               probe times (list, each > 0)
-    decay.t_min/t_max         ends (> 0) of a geometric grid, without decay.times
-    decay.num                 its number of times (>= 1)
+    decay.times               probe times (list, each > 0), required
     channels.n_max            subsequence depth
     channels.wave_times       wave times (list, multiples of solver.dt); the
                               gap between successive ones is taken on its own

@@ -134,23 +134,17 @@ class ExponentSet:
     r: float
     p: float
     q: float
-    supercritical: bool = True
 
 
-def exponents(alpha: float, permissive: bool = False) -> ExponentSet:
-    """r = alpha+2, p = 2a(a+2)/(4+a), q = 2a(a+2)/(a^2+a-4) at d = 1."""
-    supercritical = alpha > 4.0
-    if not supercritical and not permissive:
-        raise ParameterError(
-            f"alpha must be > 4 (got {alpha}); pass permissive=True to evaluate anyway"
-        )
+def exponents(alpha: float) -> ExponentSet:
+    """r = a+2, p = 2a(a+2)/(4+a), q = 2a(a+2)/(a^2+a-4) at d = 1, for finite a > 4 as
+    in ``NlsProblem``; q squares a as a*a, which overflows to inf where a**2 raises."""
+    if not (4 < alpha < np.inf):
+        raise ParameterError(f"alpha must be finite and > 4, got {alpha!r}")
     r = alpha + 2.0
     p = 2.0 * alpha * (alpha + 2.0) / (4.0 + alpha)
-    q_den = alpha**2 + alpha - 4.0
-    if q_den <= 0:
-        raise ParameterError(f"q is undefined for alpha={alpha}")
-    q = 2.0 * alpha * (alpha + 2.0) / q_den
-    return ExponentSet(alpha=alpha, r=r, p=p, q=q, supercritical=supercritical)
+    q = 2.0 * alpha * (alpha + 2.0) / (alpha * alpha + alpha - 4.0)
+    return ExponentSet(alpha=alpha, r=r, p=p, q=q)
 
 
 def strichartz_norm(traj: "Trajectory", a: float, b: float) -> float:
@@ -158,7 +152,7 @@ def strichartz_norm(traj: "Trajectory", a: float, b: float) -> float:
 
     a = inf is handled as a max over snapshots.  Warns when snapshot
     coverage is sparser than 10 per unit time, and when the pair is
-    neither admissible nor the (p, r) pair of the trajectory's power.
+    neither admissible nor ``exponents``' (p, r) of the trajectory's alpha.
     """
     times = traj.times
     if times.size < 2:
@@ -170,11 +164,8 @@ def strichartz_norm(traj: "Trajectory", a: float, b: float) -> float:
             stacklevel=2,
         )
     pair = StrichartzPair(a, b)
-    try:
-        ex = exponents(traj.problem.alpha, permissive=True)
-        power_pair = (abs(a - ex.p) <= 1e-9) and (abs(b - ex.r) <= 1e-9)
-    except ParameterError:
-        power_pair = False
+    ex = exponents(traj.problem.alpha)
+    power_pair = (abs(a - ex.p) <= 1e-9) and (abs(b - ex.r) <= 1e-9)
     if not pair.is_admissible() and not power_pair:
         warnings.warn(f"pair (a={a}, b={b}) is neither admissible nor (p, r)", stacklevel=2)
 
@@ -241,7 +232,8 @@ def morawetz_report(
     traj: "Trajectory",
     time_derivative: str = "difference",
     t_min: float = 1.0,
-    vprime=None,
+    *,
+    vprime,
 ) -> MorawetzReport:
     """Evaluate the identity on snapshots with t >= t_min > 0 (weight is
     singular at t = x = 0; the estimate integrates over { 1 < |t| }).
@@ -251,14 +243,12 @@ def morawetz_report(
     holds three at a time, so the ``morawetz`` run feeds it straight from
     the solver's snapshot stream and never keeps a trajectory.
 
-    ``vprime`` takes samples of dV/dx, used only in the standalone
-    repulsive term; pass the closed-form derivative for family potentials
-    (``potentials.build_potential_derivative``).  The default centered
-    difference (one-sided at the domain ends, where the periodic wrap
-    would fake a jump of the steplike profile) adds an O(dx^2) floor to
-    the residual.  V itself never meets a derivative: inside the flux its
-    contribution to l_V cancels pointwise against the V-content of
-    Im(conj(u) du/dt) before the spectral differentiation.
+    ``vprime``, required, takes the grid samples of dV/dx, used only in
+    the standalone repulsive term: ``potentials.build_potential_derivative``
+    gives it, in closed form for the family potentials.  V itself never
+    meets a derivative: inside the flux its contribution to l_V cancels
+    pointwise against the V-content of Im(conj(u) du/dt) before the
+    spectral differentiation.
     """
     times = _morawetz_times(traj.times, time_derivative, t_min)
     values = (f.values for f in traj.fields[traj.times.size - times.size :])
@@ -295,7 +285,7 @@ def _morawetz_window(problem, times, values, time_derivative, vprime) -> Morawet
     h = float(times[1] - times[0])
     x, dx, xi = problem.grid.x, problem.grid.dx, problem.grid.wavenumbers
     V, alpha = problem.v, problem.alpha
-    vprime = np.gradient(V, dx) if vprime is None else np.asarray(vprime, dtype=float)
+    vprime = np.asarray(vprime, dtype=float)
     if vprime.shape != V.shape:
         raise ParameterError("vprime must be sampled on the grid")
     nl_weight = 0.0 if problem.linear else 1.0

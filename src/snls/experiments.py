@@ -138,7 +138,6 @@ def _build_problem(cfg: RunConfig, grid: Grid, v: np.ndarray, u0: ComplexField,
             t_final=t_final,
             record_times=record_times,
             linear=cfg.get_bool("solver.linear", False),
-            permissive=cfg.get_bool("solver.permissive", False),
         )
     except SnlsError as exc:
         raise ConfigError(str(exc)) from exc
@@ -288,16 +287,8 @@ def _run_evolve_points(points) -> list:
 
 
 def _run_decay(cfg: RunConfig, outdir: Path) -> dict:
-    if "decay.times" in cfg.entries:
-        times = np.asarray(cfg.get_float_list("decay.times"))
-    else:
-        t_min, t_max = cfg.get_float("decay.t_min", 1.0), cfg.get_float("decay.t_max", 100.0)
-        num = cfg.get_int("decay.num", 13)
-        if not (t_min > 0 and t_max > 0):
-            raise ConfigError(f"decay.t_min and decay.t_max must be > 0, got {t_min}, {t_max}")
-        if num < 1:
-            raise ConfigError(f"decay.num must be >= 1, got {num}")
-        times = np.geomspace(t_min, t_max, num)
+    """The decay ratio of the linear flow at each of the required decay.times."""
+    times = np.asarray(cfg.get_float_list("decay.times"))
     psi, prop = _linear_inputs(cfg)
     ratios = diagnostics.decay_ratio(prop, psi, times)
     free_const = free_decay_constant()
@@ -406,7 +397,7 @@ def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
     report = diagnostics._morawetz_window(
         problem, times, selected(), "difference", build_potential_derivative(spec, grid)
     )
-    notes = _monitor_warnings(problem, np.array(boundary), np.array(high))
+    notes = _monitor_warnings(np.array(boundary), np.array(high))
 
     increments = []
     t_hi = 2.0 * t_min

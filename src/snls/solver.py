@@ -57,11 +57,10 @@ HIGH_MODE_WARN_FRACTION = 1e-8
 class NlsProblem:
     """A defocusing NLS Cauchy problem on a periodic grid.
 
-    ``alpha`` must exceed 4 (the supercritical range) unless
-    ``permissive=True``, in which case any positive power is accepted and
-    the resulting trajectory is tagged.  ``linear=True`` drops the
-    nonlinear term entirely (used for flow comparisons and the Morawetz
-    residual checks).
+    ``alpha`` must be finite and exceed 4, the paper's range above the
+    L^2-critical power.  ``record_times`` must end at ``t_final``, where
+    the solve stops.  ``linear=True`` drops the nonlinear term entirely
+    (used for flow comparisons and the Morawetz residual checks).
     """
 
     grid: Grid
@@ -72,21 +71,14 @@ class NlsProblem:
     t_final: float
     record_times: Optional[Sequence[float]] = None
     linear: bool = False
-    permissive: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "v", _frozen_potential(self.v, self.grid))
         if not self.u0.grid.same_as(self.grid):
             raise GridMismatchError("u0 does not live on the problem grid")
         # "not (ok)", as for dt below, so that a NaN or infinite power fails
-        if self.permissive:
-            if not (0 < self.alpha < np.inf):
-                raise ParameterError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        elif not (4 < self.alpha < np.inf):
-            raise ParameterError(
-                f"alpha must be finite and > 4 (got {self.alpha!r}); "
-                "set permissive=True for exploratory powers"
-            )
+        if not (4 < self.alpha < np.inf):
+            raise ParameterError(f"alpha must be finite and > 4, got {self.alpha!r}")
         if not (0 < self.dt < np.inf):
             raise ParameterError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (0 < self.t_final < np.inf):
@@ -100,8 +92,8 @@ class NlsProblem:
             # both checks read as "not (ok)", so a NaN time fails one of them
             if not np.all(np.diff(times) > 0):
                 raise ParameterError("record_times must be strictly increasing")
-            if not (times[0] >= 0 and times[-1] <= self.t_final + 1e-12):
-                raise ParameterError("record_times must lie in [0, t_final]")
+            if not (times[0] >= 0 and abs(times[-1] - self.t_final) <= 1e-12):
+                raise ParameterError("record_times must lie in [0, t_final] and end at t_final")
             if times[0] > 0:
                 times = np.concatenate(([0.0], times))
         times.setflags(write=False)
@@ -188,8 +180,8 @@ def _monitors(problem: NlsProblem, f: ComplexField) -> tuple:
     return l2_norm_sq(f), energy, sup_norm(f), boundary_mass_fraction(f), high_mode_fraction(f)
 
 
-def _monitor_warnings(problem: NlsProblem, boundary: np.ndarray, high: np.ndarray) -> tuple:
-    """Warn of wrap-around, lost resolution and a permissive power; returns the notes."""
+def _monitor_warnings(boundary: np.ndarray, high: np.ndarray) -> tuple:
+    """Warn of wrap-around and lost resolution; returns the notes."""
     notes = []
     if np.any(boundary > BOUNDARY_WARN_FRACTION):
         notes.append(
@@ -201,8 +193,6 @@ def _monitor_warnings(problem: NlsProblem, boundary: np.ndarray, high: np.ndarra
             "resolution: high-third spectral energy fraction exceeded "
             f"{HIGH_MODE_WARN_FRACTION:.0e} (max {high.max():.3e})"
         )
-    if problem.permissive and problem.alpha <= 4:
-        notes.append(f"permissive run: alpha={problem.alpha} is outside the supercritical range")
     for note in notes:
         warnings.warn(note, stacklevel=4)
     return tuple(notes)
@@ -216,5 +206,5 @@ def _trajectory(problem: NlsProblem, snap_fields: tuple) -> Trajectory:
     return Trajectory(
         problem=problem, times=problem.record_times, fields=snap_fields, mass=mass, energy=energy,
         sup=sup, boundary_fraction=boundary, high_mode=high,
-        warnings=_monitor_warnings(problem, boundary, high),
+        warnings=_monitor_warnings(boundary, high),
     )

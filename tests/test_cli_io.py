@@ -237,6 +237,17 @@ def _shipped_config(name, *changes):
     return text
 
 
+# a decay run of 256 points at three probe times
+DECAY_CFG = """
+experiment = decay
+grid.n_points = 256
+grid.length = 40.0
+solver.dt = 0.05
+decay.times = 0.5, 1.0, 2.0
+initial.kind = gaussian
+"""
+
+
 # a channels run of 1024 points, 256 steps to T = 4; channels.wave_times is appended
 LEGS_CFG = """
 experiment = channels
@@ -384,6 +395,52 @@ class TestExperiments:
         assert _strict_json(tmp_path / "chk" / "summary.json")["hypotheses"][
             "measured_exponent"] is None
 
+    def test_initial_momentum_adds_its_kinetic_energy(self, tmp_path):
+        # |u| is unchanged, so only (1/2) int |u'|^2 moves, by k^2 mass / 2
+        summaries = [run(parse_config_text(EVOLVE_CFG + f"initial.momentum = {k}\n"),
+                         output_dir=tmp_path / f"k{k}") for k in (0.0, 1.5)]
+        rest, moving = summaries
+        assert moving["mass_initial"] == pytest.approx(rest["mass_initial"], rel=1e-15)
+        assert moving["energy_initial"] - rest["energy_initial"] == pytest.approx(
+            1.5**2 * rest["mass_initial"] / 2.0, rel=1e-12)
+
+    def test_initial_center_moves_the_packet(self, tmp_path):
+        # a center of eight grid steps gives the t = 0 checkpoint of the
+        # centered packet moved by eight points
+        fields = []
+        for center in (0.0, 1.25):
+            out = tmp_path / f"c{center}"
+            run(parse_config_text(EVOLVE_CFG + f"initial.center = {center}\n"), output_dir=out)
+            fields.append(read_checkpoint(out / "checkpoint_0000.snls")[0].values)
+        assert np.allclose(fields[1], np.roll(fields[0], 8), rtol=0.0, atol=1e-15)
+        assert not np.array_equal(fields[1], fields[0])
+
+    def test_potential_a_plus_sets_the_right_edge(self, tmp_path):
+        for a_plus in (1.0, 1.5):
+            cfg = parse_config_text(f"experiment = check_potential\ngrid.n_points = 256\n"
+                                    f"grid.length = 40.0\npotential.a_plus = {a_plus}\n")
+            out = tmp_path / f"a{a_plus}"
+            summary = run(cfg, output_dir=out)
+            assert summary["hypotheses"]["right_limit_ok"] is True
+            last = (out / "series.csv").read_text().splitlines()[-1].split(",")
+            assert float(last[1]) == a_plus
+
+    def test_potential_epsilon_sets_the_decay_test(self, tmp_path):
+        # V = (5/|x|)^12 off the core: |x|^(1+eps) V falls toward the ends
+        # for eps = 0.5 and grows for eps = 12, and the fit reads 12
+        grid = snls.Grid(256, 40.0)
+        v = (5.0 / np.maximum(np.abs(grid.x), 5.0)) ** 12
+        csv_path = tmp_path / "power_law.csv"
+        csv_path.write_text("".join(f"{x},{y}\n" for x, y in zip(grid.x.tolist(), v.tolist())))
+        base = ("experiment = check_potential\ngrid.n_points = 256\ngrid.length = 40.0\n"
+                f"potential.family = custom_samples\npotential.csv = {csv_path}\n"
+                "potential.a_plus = 0.0\n")
+        for epsilon, ok in ((0.5, True), (12.0, False)):
+            summary = run(parse_config_text(base + f"potential.epsilon = {epsilon}\n"),
+                          output_dir=tmp_path / f"e{epsilon}")
+            assert summary["hypotheses"]["decay_rate_ok"] is ok
+            assert summary["hypotheses"]["measured_exponent"] == pytest.approx(12.0, rel=1e-9)
+
     def test_linear_channels_unit_potential(self, tmp_path):
         cfg = parse_config_text(
             """
@@ -506,6 +563,30 @@ class TestExperiments:
             for member, row in zip(members, expected):
                 assert np.array_equal(member.values, row)
         assert counts == [4 + bases, 8 + bases]
+
+    def test_two_bump_separation_places_the_bumps(self, tmp_path, monkeypatch):
+        # member n has its bumps at +-(separation + n * separation_step), on the grid
+        grid, seen = snls.Grid(256, 40.0), []
+        decompose = experiments.scattering.greedy_profile_decomposition
+
+        def recorded(fields, *args, **kwargs):
+            seen.extend(fields)
+            return decompose(fields, *args, **kwargs)
+
+        monkeypatch.setattr(experiments.scattering, "greedy_profile_decomposition", recorded)
+        cfg = parse_config_text(
+            "experiment = profiles\ngrid.n_points = 256\ngrid.length = 40.0\nsolver.dt = 0.05\n"
+            "profiles.fixture = two_bump\nprofiles.count = 3\nprofiles.t_window = 1.0\n"
+            "profiles.separation = 4.0\nprofiles.separation_step = 1.1\n"
+        )
+        run(cfg, output_dir=tmp_path / "prof")
+        base1 = snls.gaussian_packet(grid)
+        base2 = snls.gaussian_packet(grid, amplitude=0.8, width=1.5)
+        assert len(seen) == 3
+        for n, member in enumerate(seen):
+            a = round((4.0 + 1.1 * n) / grid.dx) * grid.dx
+            expected = snls.translate(base1, a).values + snls.translate(base2, -a).values
+            assert np.array_equal(member.values, expected)
 
     def test_decay_smoke(self, tmp_path):
         cfg = parse_config_text(
@@ -790,7 +871,7 @@ class TestExperiments:
         [("evolve", "grid.n_points", [64, 128], "solver.dt = 0.01\nsolver.t_final = 0.3"
           "\nsolver.record_stride = 0.1\ninitial.kind = gaussian"),
          ("decay", "potential.height", [1.5, 2.0], "grid.n_points = 256\nsolver.dt = 0.05"
-          "\ndecay.t_min = 0.5\ndecay.t_max = 2.0\ndecay.num = 3\ninitial.kind = gaussian")],
+          "\ndecay.times = 0.5, 1.0, 2.0\ninitial.kind = gaussian")],
         ids=["evolve_resolution", "decay_height"],
     )
     # the 64-point run trips the resolution monitor, in the sweep and alone
@@ -1006,14 +1087,11 @@ class TestCli:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("experiment, settings, key", [
-        ("decay", "decay.t_min = 0.0", "decay.t_min"),
-        ("decay", "decay.t_max = 0.0", "decay.t_max"),
-        ("decay", "decay.num = -1", "decay.num"),
         ("profiles", "profiles.fixture = one_bump\nprofiles.count = -1", "profiles.count"),
-    ], ids=["decay.t_min", "decay.t_max", "decay.num", "profiles.count"])
+    ], ids=["profiles.count"])
     def test_config_number_out_of_range_exit_2(self, tmp_path, capsys, experiment, settings, key):
-        # unchecked, each reaches numpy (geomspace, rng.uniform) and raises
-        # a ValueError, which exits 1 with a traceback
+        # unchecked, it reaches numpy (rng.uniform) and raises a ValueError,
+        # which exits 1 with a traceback
         cfg = self._write_cfg(
             tmp_path, f"experiment = {experiment}\ngrid.n_points = 256\ngrid.length = 40.0\n"
             f"solver.dt = 0.05\ninitial.kind = gaussian\n{settings}\n",
@@ -1023,6 +1101,43 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert key in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, setting, key", [
+        ("evolve", "solver.permissive = true", "solver.permissive"),
+        ("decay", "decay.t_min = 0.5", "decay.t_min"),
+        ("decay", "decay.t_max = 2.0", "decay.t_max"),
+        ("decay", "decay.num = 3", "decay.num"),
+    ], ids=["solver.permissive", "decay.t_min", "decay.t_max", "decay.num"])
+    def test_retired_key_exit_2(self, tmp_path, capsys, experiment, setting, key):
+        # no run reads the power gate or the geometric decay grid, so a
+        # config that sets one is refused by name and writes nothing
+        base = EVOLVE_CFG if experiment == "evolve" else DECAY_CFG
+        cfg = self._write_cfg(tmp_path, f"{base}{setting}\n")
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].endswith(f"no run reads {key}")
+        assert not out.exists()
+
+    def test_decay_without_times_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, _without(DECAY_CFG, "decay.times"))
+        out = tmp_path / "o"
+        assert main(["decay", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "missing required key 'decay.times'" in err["message"]
+        assert not out.exists()
+
+    def test_record_times_ending_before_t_final_exit_2(self, tmp_path, capsys):
+        # the solve would stop at t = 1 and still exit 0 with t_final = 5 echoed
+        text = (_without(EVOLVE_CFG, "solver.record_stride").replace(
+            "solver.t_final = 1.0", "solver.t_final = 5.0") + "solver.record_times = 0.0, 1.0\n")
+        cfg = self._write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "end at t_final" in err["message"]
         assert not out.exists()
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):

@@ -102,10 +102,28 @@ class TestExponents:
         assert ex.r > 6.0
 
     def test_range_error_and_permissive(self):
-        with pytest.raises(ParameterError):
-            snls.exponents(4.0)
-        ex = snls.exponents(3.0, permissive=True)
-        assert not ex.supercritical
+        # p and q would be nan at an infinite power
+        for alpha in (4.0, np.inf, np.nan):
+            with pytest.raises(ParameterError, match="alpha must be finite and > 4"):
+                snls.exponents(alpha)
+        with pytest.raises(TypeError):
+            snls.exponents(3.0, permissive=True)
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_accepts_the_powers_a_problem_accepts(self, alpha):
+        g = snls.Grid(16, 10.0)
+        u0 = snls.ComplexField(g, np.zeros(16))
+
+        def accepted(make):
+            try:
+                make()
+            except ParameterError:
+                return False
+            return True
+
+        solvable = accepted(lambda: snls.NlsProblem(grid=g, v=np.zeros(16), alpha=alpha, u0=u0,
+                                                    dt=0.1, t_final=1.0))
+        assert accepted(lambda: snls.exponents(alpha)) == solvable
 
 
 class TestAdmissibility:
@@ -288,6 +306,12 @@ class TestMorawetz:
         with pytest.raises(ParameterError, match="t > 0"):
             snls.morawetz_report(traj, t_min=t_min, vprime=vp)
 
+    def test_vprime_is_required(self, dyadic_trajectory):
+        # dV/dx comes from potentials, never from a difference of the samples
+        traj, _ = dyadic_trajectory
+        with pytest.raises(TypeError):
+            snls.morawetz_report(traj)
+
     def test_linear_residual_small_and_second_order(self):
         # smooth steplike potential: the only residual is time differencing
         g = snls.Grid(1024, 100.0)
@@ -328,7 +352,7 @@ class TestMorawetz:
         # one derivative and bracket per selected snapshot would be 129 snapshots'
         # worth here; a three-snapshot window needs a bounded number, and the
         # report works on raw arrays, building no ComplexField
-        traj, _ = dyadic_trajectory
+        traj, vp = dyadic_trajectory
         n = traj.problem.grid.n_points
         built = []
         init = snls.ComplexField.__init__
@@ -340,7 +364,7 @@ class TestMorawetz:
         monkeypatch.setattr(snls.ComplexField, "__init__", counting_init)
         tracemalloc.start()
         try:
-            snls.morawetz_report(traj, t_min=0.5)
+            snls.morawetz_report(traj, t_min=0.5, vprime=vp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

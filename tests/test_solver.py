@@ -28,21 +28,22 @@ class TestProblemValidation:
     def test_alpha_range(self, setup):
         g, v = setup
         u0 = snls.gaussian_packet(g)
-        with pytest.raises(ParameterError):
-            snls.NlsProblem(grid=g, v=v, alpha=3.0, u0=u0, dt=1e-3, t_final=1.0)
-        # permissive mode admits subcritical powers
-        p = snls.NlsProblem(grid=g, v=v, alpha=3.0, u0=u0, dt=1e-3, t_final=1.0, permissive=True)
-        assert p.alpha == 3.0
+        for alpha in (3.0, 4.0):
+            with pytest.raises(ParameterError, match="alpha must be finite and > 4"):
+                snls.NlsProblem(grid=g, v=v, alpha=alpha, u0=u0, dt=1e-3, t_final=1.0)
+        # no option admits a power outside the paper's range
+        with pytest.raises(TypeError):
+            snls.NlsProblem(grid=g, v=v, alpha=3.0, u0=u0, dt=1e-3, t_final=1.0,
+                            permissive=True)
 
-    @pytest.mark.parametrize("permissive", [False, True])
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
-    def test_non_finite_alpha(self, setup, alpha, permissive):
+    def test_non_finite_alpha(self, setup, alpha):
         # a nan power would trip the step guard and blame dt; an infinite
         # one would make |u|^alpha vanish and the solve the linear flow
         g, v = setup
         with pytest.raises(ParameterError, match="alpha must be finite"):
             snls.NlsProblem(grid=g, v=v, alpha=alpha, u0=snls.gaussian_packet(g),
-                            dt=1e-3, t_final=1.0, permissive=permissive)
+                            dt=1e-3, t_final=1.0)
 
     def test_record_times_validation(self, setup):
         g, v = setup
@@ -51,6 +52,11 @@ class TestProblemValidation:
             make_problem(g, v, u0, record_times=[0.5, 0.5])
         with pytest.raises(ParameterError):
             make_problem(g, v, u0, record_times=[0.5, 2.0])
+        # the solve stops at the last record time, so one before t_final
+        # would end the run early and still report t_final
+        with pytest.raises(ParameterError, match="end at t_final"):
+            make_problem(g, v, u0, t_final=5.0, record_times=[0.0, 1.0])
+        assert make_problem(g, v, u0, record_times=[0.5, 1.0 - 5e-13]).record_times[-1] < 1.0
         # a non-finite time fails here, not in the solve
         for kw in ({"t_final": np.inf}, {"dt": np.inf}, {"dt": np.nan},
                    {"record_times": [0.5, np.nan]}, {"record_times": [np.nan]}):
