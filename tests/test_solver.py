@@ -36,14 +36,16 @@ class TestProblemValidation:
             snls.NlsProblem(grid=g, v=v, alpha=3.0, u0=u0, dt=1e-3, t_final=1.0,
                             permissive=True)
 
+    @pytest.mark.parametrize("linear", [False, True])
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
-    def test_non_finite_alpha(self, setup, alpha):
+    def test_non_finite_alpha(self, setup, alpha, linear):
         # a nan power would trip the step guard and blame dt; an infinite
-        # one would make |u|^alpha vanish and the solve the linear flow
+        # one would make |u|^alpha vanish and the solve the linear flow.
+        # A linear problem never raises |u| to alpha, but it is checked all the same.
         g, v = setup
         with pytest.raises(ParameterError, match="alpha must be finite"):
             snls.NlsProblem(grid=g, v=v, alpha=alpha, u0=snls.gaussian_packet(g),
-                            dt=1e-3, t_final=1.0)
+                            dt=1e-3, t_final=1.0, linear=linear)
 
     def test_record_times_validation(self, setup):
         g, v = setup
