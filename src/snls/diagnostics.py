@@ -137,14 +137,21 @@ class ExponentSet:
 
 
 def exponents(alpha: float) -> ExponentSet:
-    """r = a+2, p = 2a(a+2)/(4+a), q = 2a(a+2)/(a^2+a-4) at d = 1, for finite a > 4 as
-    in ``NlsProblem``; q squares a as a*a, which overflows to inf where a**2 raises."""
-    if not (4 < alpha < np.inf):
-        raise ParameterError(f"alpha must be finite and > 4, got {alpha!r}")
-    r = alpha + 2.0
-    p = 2.0 * alpha * (alpha + 2.0) / (4.0 + alpha)
-    q = 2.0 * alpha * (alpha + 2.0) / (alpha * alpha + alpha - 4.0)
-    return ExponentSet(alpha=alpha, r=r, p=p, q=q)
+    """r = a+2, p = 2a(a+2)/(4+a), q = 2a(a+2)/(a^2+a-4) at d = 1.
+
+    The one check of a power, which ``NlsProblem`` runs too: a must exceed 4
+    and give finite r, p and q.  Their numerator 2a(a+2) overflows from
+    a = 9.48e153 (the root of half the largest float) on, and a NaN or
+    infinite a fails too.  Python floats overflow to inf without a warning.
+    """
+    if 4 < alpha < np.inf:
+        a = float(alpha)
+        r = a + 2.0
+        p = 2.0 * a * r / (4.0 + a)
+        q = 2.0 * a * r / (a * a + a - 4.0)
+        if math.isfinite(p) and math.isfinite(q):
+            return ExponentSet(alpha=alpha, r=r, p=p, q=q)
+    raise ParameterError(f"alpha must be finite and > 4, below about 9.48e153, got {alpha!r}")
 
 
 def strichartz_norm(traj: "Trajectory", a: float, b: float) -> float:

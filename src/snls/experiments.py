@@ -29,6 +29,7 @@ from .grid import (
 from .potentials import (
     PotentialFamily,
     PotentialSpec,
+    _potential_pair,
     build_potential,
     build_potential_derivative,
     check_hypotheses,
@@ -205,10 +206,11 @@ def emit_plot_data(series_path, columns) -> str:
 
 def _run_check_potential(cfg: RunConfig, outdir: Path) -> dict:
     grid = _build_grid(cfg)
-    v = _build_potential(cfg, grid)
+    v, dv = _potential_pair(_potential_spec(cfg), grid)
     report = check_hypotheses(
         v,
         grid,
+        dV=dv,
         epsilon=cfg.get_float("potential.epsilon", 0.5),
         a_minus=cfg.get_float("potential.a_minus", 0.0),
         a_plus=cfg.get_float("potential.a_plus", 1.0),

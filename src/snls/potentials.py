@@ -213,18 +213,24 @@ def _fit_decay_exponent(x, dev) -> float:
 def check_hypotheses(
     V: Sequence[float],
     grid: Grid,
+    *,
+    dV: Sequence[float],
     epsilon: float = 0.5,
     a_minus: float = 0.0,
     a_plus: float = 1.0,
     height: Optional[float] = None,
 ) -> HypothesisReport:
-    """Test the structural hypotheses on sampled V.
+    """Test the structural hypotheses on sampled V and its derivative dV.
 
-    repulsive:   x_j * (DV)_j <= tol at every grid point, DV a centered
-                 finite difference (one-sided at the domain ends, where the
-                 periodic wrap would fake a jump of the steplike profile);
-                 tol = 1e-10 * max(|V|, 1) absorbs difference noise at the
-                 matched point where the true derivative vanishes.
+    dV is dV/dx at the grid points as ``_potential_pair`` gives it: the
+    closed form of an analytic family, or the centered difference of custom
+    samples (one-sided at the domain ends, where the periodic wrap would
+    fake a jump of the steplike profile).
+
+    repulsive:   x_j * dV_j <= tol at every grid point; tol = 1e-10 *
+                 max(|V|, 1) absorbs rounding in dV, and the difference
+                 noise of custom samples at a point where the true
+                 derivative vanishes.
     limits:      mean of V over the outer 5% of each side vs a_+/- at 1e-6.
     decay:       |x|^(1+eps)|V - a_+-| decreasing toward 0 on the outer 25%
                  of each half-domain; the measured exponent is a log-log fit
@@ -232,9 +238,9 @@ def check_hypotheses(
                  ``summary.json`` writes that inf as null, since JSON has
                  no Infinity).
     """
-    V = np.asarray(V, dtype=float)
-    if V.shape != (grid.n_points,):
-        raise ParameterError("V must be sampled on the grid")
+    V, dv = np.asarray(V, dtype=float), np.asarray(dV, dtype=float)
+    if V.shape != (grid.n_points,) or dv.shape != V.shape:
+        raise ParameterError("V and dV must be sampled on the grid")
     if epsilon <= 0:
         raise ParameterError("epsilon must be > 0")
     x = grid.x
@@ -264,7 +270,6 @@ def check_hypotheses(
         _fit_decay_exponent(x[right], dev_right),
     )
 
-    dv = np.gradient(V, grid.dx)
     xdv = x * dv
     tol = 1e-10 * scale
     worst_idx = int(np.argmax(xdv))

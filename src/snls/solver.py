@@ -57,10 +57,11 @@ HIGH_MODE_WARN_FRACTION = 1e-8
 class NlsProblem:
     """A defocusing NLS Cauchy problem on a periodic grid.
 
-    ``alpha`` must be finite and exceed 4, the paper's range above the
-    L^2-critical power.  ``record_times`` must end at ``t_final``, where
-    the solve stops.  ``linear=True`` drops the nonlinear term entirely
-    (used for flow comparisons and the Morawetz residual checks).
+    ``alpha`` must exceed 4, the paper's range above the L^2-critical
+    power, and stay under ``diagnostics.exponents``' bound.  ``record_times``
+    must end at ``t_final``, where the solve stops.  ``linear=True`` drops
+    the nonlinear term entirely (used for flow comparisons and the Morawetz
+    residual checks).
     """
 
     grid: Grid
@@ -76,9 +77,7 @@ class NlsProblem:
         object.__setattr__(self, "v", _frozen_potential(self.v, self.grid))
         if not self.u0.grid.same_as(self.grid):
             raise GridMismatchError("u0 does not live on the problem grid")
-        # "not (ok)", as for dt below, so that a NaN or infinite power fails
-        if not (4 < self.alpha < np.inf):
-            raise ParameterError(f"alpha must be finite and > 4, got {self.alpha!r}")
+        diagnostics.exponents(self.alpha)  # the one check of a power
         if not (0 < self.dt < np.inf):
             raise ParameterError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (0 < self.t_final < np.inf):

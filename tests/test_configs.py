@@ -1,7 +1,7 @@
 """The shipped configs in ``configs/``: each parses, names a runnable
 experiment, survives the rendered echo with its types, has every key read
 by its run and named in the ``snls.config`` key reference; ``channels.cfg``
-keeps the premise its run relies on.  The key reference names exactly the
+keeps the premises its run relies on.  The key reference names exactly the
 keys that the runs read."""
 
 import ast
@@ -13,7 +13,7 @@ import pytest
 
 import snls
 import snls.config
-from snls import experiments
+from snls import experiments, scattering
 from snls.config import EXPERIMENTS, parse_config, parse_config_text
 from snls.propagators import SMALL_ROTATION
 
@@ -46,11 +46,24 @@ def test_experiment_names_match_the_runners():
 
 def test_channels_config_premises():
     cfg = parse_config(CONFIG_DIR / "channels.cfg")
-    # every nonlinear phase of the solve rotates by less than SMALL_ROTATION
-    # at t = 0, so the run takes the rule's form without cos and sin
+    dt, alpha = cfg.get_float("solver.dt"), cfg.get_float("solver.alpha")
     grid = snls.Grid(cfg.get_int("grid.n_points"), cfg.get_float("grid.length"))
-    sup = np.abs(experiments._build_initial(cfg, grid).values).max()
-    assert cfg.get_float("solver.dt") * sup ** cfg.get_float("solver.alpha") < SMALL_ROTATION
+    u0 = experiments._build_initial(cfg, grid)
+    # every nonlinear phase of the solve rotates by less than SMALL_ROTATION
+    # at t = 0, so the run takes the rule's form without cos and sin; so does
+    # the benchmark's largest amplitude, 1.05 times the shipped one
+    sup = np.abs(u0.values).max()
+    assert dt * (1.05 * sup) ** alpha < SMALL_ROTATION
+    # every wave time lies on the step lattice
+    for t in cfg.get_float_list("channels.wave_times"):
+        assert t / dt == round(t / dt)
+    # the box holds the channel study: the linear flow of u0 keeps its mass
+    # off the outer tenth at every study time (7.0e-3 there on L = 400).  A
+    # coarse step tracks the flow's spreading; 2^-9 gives the same two digits.
+    p = snls.PerturbedPropagator(grid, experiments._build_potential(cfg, grid), 2**-5)
+    times = scattering._channel_times(cfg.get_int("channels.n_max"))
+    for f in p.evolve_through(u0, times):
+        assert snls.boundary_mass_fraction(f) <= 1e-4
 
 
 # shipped keys set to values that keep each run to seconds; no key is removed

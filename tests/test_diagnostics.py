@@ -102,10 +102,11 @@ class TestExponents:
         assert ex.r > 6.0
 
     def test_range_error_and_permissive(self):
-        # p and q would be nan at an infinite power
-        for alpha in (4.0, np.inf, np.nan):
+        # p and q would be nan at an infinite power, and inf or nan past 9.48e153
+        for alpha in (4.0, np.inf, np.nan, 1e300, 9.480751908109177e153):
             with pytest.raises(ParameterError, match="alpha must be finite and > 4"):
                 snls.exponents(alpha)
+        assert np.isfinite(snls.exponents(9.480751908109176e153).p)
         with pytest.raises(TypeError):
             snls.exponents(3.0, permissive=True)
 
@@ -124,6 +125,9 @@ class TestExponents:
         solvable = accepted(lambda: snls.NlsProblem(grid=g, v=np.zeros(16), alpha=alpha, u0=u0,
                                                     dt=0.1, t_final=1.0))
         assert accepted(lambda: snls.exponents(alpha)) == solvable
+        if solvable:
+            ex = snls.exponents(alpha)
+            assert all(np.isfinite([ex.r, ex.p, ex.q]))
 
 
 class TestAdmissibility:

@@ -114,7 +114,8 @@ class TestHypotheses:
     def test_canonical_family_all_ok(self):
         g = snls.Grid(2048, 80.0)
         spec = PotentialSpec(height=2.0, width=1.0)
-        report = check_hypotheses(build_potential(spec, g), g, epsilon=0.5, height=2.0)
+        report = check_hypotheses(build_potential(spec, g), g,
+                                  dV=build_potential_derivative(spec, g), epsilon=0.5, height=2.0)
         assert report.all_ok(), report.as_dict()
         # super-polynomial decay shows up as a large fitted exponent
         assert report.measured_exponent > 1.5
@@ -123,39 +124,47 @@ class TestHypotheses:
     def test_repulsive_across_resolutions(self, n, length):
         g = snls.Grid(n, length)
         for h in (1.0, 2.0, 5.0):
-            v = build_potential(PotentialSpec(height=h, width=1.0), g)
-            assert check_hypotheses(v, g, height=h).repulsive
+            spec = PotentialSpec(height=h, width=1.0)
+            v, dv = build_potential(spec, g), build_potential_derivative(spec, g)
+            assert check_hypotheses(v, g, dV=dv, height=h).repulsive
 
     def test_logistic_not_repulsive(self):
         g = snls.Grid(1024, 60.0)
-        v = build_potential(PotentialSpec(family=PotentialFamily.LOGISTIC_STEP, height=1.0), g)
-        report = check_hypotheses(v, g)
+        spec = PotentialSpec(family=PotentialFamily.LOGISTIC_STEP, height=1.0)
+        report = check_hypotheses(build_potential(spec, g), g, dV=build_potential_derivative(spec, g))
         assert not report.repulsive
         # the violation is on the right half where V keeps growing
         assert report.worst_violation[1] > 0
 
     def test_flat_zero_against_unit_plateau(self, grid_small):
         v = np.zeros(grid_small.n_points)
-        report = check_hypotheses(v, grid_small, a_minus=0.0, a_plus=1.0)
+        report = check_hypotheses(v, grid_small, dV=v, a_minus=0.0, a_plus=1.0)
         assert report.repulsive
         assert report.nonnegative
         assert report.left_limit_ok
         assert not report.right_limit_ok
 
     def test_epsilon_validation(self, grid_small):
+        zeros = np.zeros(grid_small.n_points)
         with pytest.raises(ParameterError):
-            check_hypotheses(np.zeros(grid_small.n_points), grid_small, epsilon=0.0)
+            check_hypotheses(zeros, grid_small, dV=zeros, epsilon=0.0)
 
     def test_shape_validation(self, grid_small):
+        zeros = np.zeros(grid_small.n_points)
         with pytest.raises(ParameterError):
-            check_hypotheses(np.zeros(7), grid_small)
+            check_hypotheses(np.zeros(7), grid_small, dV=np.zeros(7))
+        with pytest.raises(ParameterError):
+            check_hypotheses(zeros, grid_small, dV=zeros[:-1])
+        with pytest.raises(TypeError):  # dV/dx is formed where V is, never here
+            check_hypotheses(zeros, grid_small)
 
     def test_gradient_vanishes_flag(self):
         g = snls.Grid(1024, 60.0)
-        v = build_potential(PotentialSpec(height=2.0, width=1.0), g)
-        assert check_hypotheses(v, g).gradient_vanishes
+        spec = PotentialSpec(height=2.0, width=1.0)
+        v, dv = build_potential(spec, g), build_potential_derivative(spec, g)
+        assert check_hypotheses(v, g, dV=dv).gradient_vanishes
         ramp = 0.05 * g.x  # gradient never vanishes
-        assert not check_hypotheses(ramp, g).gradient_vanishes
+        assert not check_hypotheses(ramp, g, dV=np.full(g.n_points, 0.05)).gradient_vanishes
 
 
 class TestCustomSamples:
