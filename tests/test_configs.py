@@ -59,7 +59,7 @@ def test_channels_config_premises():
         assert t / dt == round(t / dt)
     # the box holds the channel study: the linear flow of u0 keeps its mass
     # off the outer tenth at every study time (7.0e-3 there on L = 400).  A
-    # coarse step tracks the flow's spreading; 2^-9 gives the same two digits.
+    # coarse step tracks the flow's spreading: 2.6e-6 here, 2.7e-6 at 2^-9.
     p = snls.PerturbedPropagator(grid, experiments._build_potential(cfg, grid), 2**-5)
     times = scattering._channel_times(cfg.get_int("channels.n_max"))
     for f in p.evolve_through(u0, times):
