@@ -350,15 +350,18 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
         raise ConfigError("channels: channels.wave_times must be multiples of solver.dt")
     n_max = cfg.get_int("channels.n_max", 6)
     try:
-        study_times = scattering._channel_times(n_max)
+        # the summary reads pairs n_max - 1 and n_max only: their four
+        # endpoint times (two at n_max = 1), and no held-out time
+        pair_times = scattering._channel_times(n_max)[-5:-1]
     except SnlsError as exc:
         raise ConfigError(f"channels.n_max: {exc}") from exc
     traj = solve(problem)
 
-    # the gaps between successive wave times, in the conserved h1v norm
-    gaps, flow = scattering._wave_gaps(traj, prop, wave_times, study_times)
+    # the gaps between successive wave times, in the conserved h1v norm; the
+    # backward sweep of u(T_max) ends at T_{K-1} or the lowest pair time
+    gaps, flow = scattering._wave_gaps(traj, prop, wave_times, pair_times)
     t_last = wave_times[-1]
-    study = scattering._channel_study(traj.field_at(t_last), flow)
+    study = scattering._channel_study(traj.field_at(t_last), flow, first=max(n_max - 1, 1))
     defect = scattering._reconstruction_defect(traj.field_at(t_last), study.pairs[-1], t_last)
     summary = {
         "wave_times": wave_times,

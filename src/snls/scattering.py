@@ -89,7 +89,9 @@ class ChannelPair:
     eta: ComplexField
     gamma: ComplexField
     extraction_n: int
-    cauchy_gap: float  # H1 distance to the (n-1)-extraction; 0.0 at n = 1
+    # H1 distance to the (n-1)-extraction; 0.0 at n = 1, and nan at the
+    # first pair of a study that starts past n = 1, which lacks that extraction
+    cauchy_gap: float
 
 
 def _h1_dist(f: ComplexField, g: ComplexField) -> float:
@@ -104,8 +106,9 @@ def _reconstruction_defect(state: ComplexField, pair: ChannelPair, t: float) -> 
 
 @dataclass(frozen=True, eq=False)
 class ChannelStudy:
-    """Per-n channel extractions, n = 1 .. n_max, with convergence series;
-    each Cauchy gap is stored once, in its pair.
+    """Per-n channel extractions, n = first .. n_max, with convergence series;
+    each Cauchy gap is stored once, in its pair, and each pair whose held-out
+    time was sampled has a reconstruction defect.
 
     The mass defect |eta|^2 + |gamma|^2 - |psi|^2 vanishes by the
     parallelogram identity |eta|^2 + |gamma|^2 = (|A_n|^2 + |B_n|^2)/2
@@ -140,24 +143,27 @@ def channel_convergence_study(
     return _channel_study(psi, list(p.evolve_through(psi, _channel_times(n_max))))
 
 
-def _channel_study(psi: ComplexField, states) -> ChannelStudy:
-    """Pairs, Cauchy gaps and defects from the flow of psi at the ``_channel_times``;
-    psi is only the mass reference, so any state of that unitary flow serves.
+def _channel_study(psi: ComplexField, states, first: int = 1) -> ChannelStudy:
+    """Pairs n = first, first + 1, ..., Cauchy gaps and defects from the flow
+    of psi at the endpoint times pi*k, k = 2*first, 2*first + 1, ...; psi is
+    only the mass reference, so any state of that unitary flow serves.
 
     The reconstruction defect of the n-th pair is measured at the held-out
-    next endpoint t = 2*pi*(n+1): at the pair's own extraction time the
-    decomposition reproduces the state identically by construction (an
-    algebra check, not a convergence probe), while at the held-out time the
-    defect decays exactly when the extractions converge.
+    next endpoint t = 2*pi*(n+1), for each pair whose held-out state is
+    given: at the pair's own extraction time the decomposition reproduces
+    the state identically by construction (an algebra check, not a
+    convergence probe), while at the held-out time the defect decays exactly
+    when the extractions converge.
     """
-    # states[k - 2] at the endpoint time pi*k, k = 2 .. 2*n_max + 2 (holdout included)
+    # states[i] at the endpoint time pi*(2*first + i)
     grid, pairs = states[0].grid, []
-    for n in range(1, (len(states) - 1) // 2 + 1):
+    for n, (at_even, at_odd) in enumerate(zip(states[::2], states[1::2]), start=first):
         # A_n and B_n, the free pullbacks of the states at 2*pi*n and (2n+1)*pi
-        a_n = evolve_free(states[2 * n - 2], -2.0 * np.pi * n).values
-        b_n = evolve_free(states[2 * n - 1], -(2.0 * n + 1.0) * np.pi).values
+        a_n = evolve_free(at_even, -2.0 * np.pi * n).values
+        b_n = evolve_free(at_odd, -(2.0 * n + 1.0) * np.pi).values
         eta, gamma = ComplexField(grid, 0.5 * (a_n + b_n)), ComplexField(grid, 0.5 * (a_n - b_n))
-        gap = _h1_dist(eta, pairs[-1].eta) + _h1_dist(gamma, pairs[-1].gamma) if pairs else 0.0
+        gap = (_h1_dist(eta, pairs[-1].eta) + _h1_dist(gamma, pairs[-1].gamma) if pairs
+               else 0.0 if n == 1 else np.nan)
         pairs.append(ChannelPair(eta=eta, gamma=gamma, extraction_n=n, cauchy_gap=gap))
     return ChannelStudy(
         pairs=tuple(pairs),
@@ -166,8 +172,8 @@ def _channel_study(psi: ComplexField, states) -> ChannelStudy:
             l2_norm_sq(pair.eta) + l2_norm_sq(pair.gamma) - l2_norm_sq(psi) for pair in pairs
         ]),
         reconstruction_defects=np.array([
-            _reconstruction_defect(states[2 * n], pair, 2.0 * np.pi * (n + 1))
-            for n, pair in enumerate(pairs, start=1)
+            _reconstruction_defect(state, pair, 2.0 * np.pi * (pair.extraction_n + 1))
+            for pair, state in zip(pairs, states[2::2])
         ]),
     )
 
@@ -195,10 +201,12 @@ def _wave_gaps(
     only its own leg.  Each leg but the last is a one-row flow of its own.
     One backward sweep of u(T_max) visits, in decreasing order, the flow
     times at or below T_max and T_{K-1}, where it gives the last gap, and
-    ends at the lowest of them.  Flow times past T_max run forward
-    from u(T_max).  Unchecked: p is the solve's own splitting at its step
-    and the times lie on its step lattice, as ``channels`` makes them; the
-    flow times are at or above 0.
+    ends at the lowest of them.  Flow times past T_max run forward from
+    u(T_max), to the last of them.  So the flow goes only as far as T_{K-1}
+    and the flow times ask; ``channels`` asks for the endpoint times of the
+    two pairs it reports.  Unchecked: p is the solve's own splitting at its
+    step and the times lie on its step lattice, as ``channels`` makes them;
+    the flow times are at or above 0.
     """
     times = sorted(float(T) for T in times)
     snapshots = [traj.field_at(T).values for T in times]

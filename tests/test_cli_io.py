@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import snls
 from snls.checkpoint import read_checkpoint, write_checkpoint
-from snls import experiments, propagators, solver
+from snls import experiments, propagators, scattering, solver
 from snls.cli import main
 from snls.config import parse_config_text
 from snls.errors import ConfigError, InvalidFieldError, ParameterError
@@ -261,6 +261,23 @@ solver.dt = 0.015625
 channels.n_max = 1
 initial.kind = gaussian
 initial.amplitude = 0.3
+initial.width = 2.0
+"""
+
+
+# a channels run of 1024 points at dt = 2^-7; channels.wave_times and
+# channels.n_max are appended
+PAIRS_CFG = """
+experiment = channels
+grid.n_points = 1024
+grid.length = 200.0
+potential.family = gaussian_matched_step
+potential.height = 2.0
+potential.width = 1.0
+solver.alpha = 5.0
+solver.dt = 0.0078125
+initial.kind = gaussian
+initial.amplitude = 0.05
 initial.width = 2.0
 """
 
@@ -742,14 +759,14 @@ class TestExperiments:
         assert summary["gaps_decreasing"] is None
         assert _strict_json(tmp_path / "ch" / "summary.json")["gaps_decreasing"] is None
 
-    def test_channels_study_adds_only_the_forward_tail(self, tmp_path, monkeypatch):
-        # the study reads its flow off the backward sweep of u(T_max), which
-        # stops at the lattice point of its lowest stop, 2pi: past the sweep's
-        # steps and the earlier legs' (T_{K-1} - T_1)/dt, it may add the
-        # forward tail from T_max to the last study time and one remainder
-        # substep per time off the step lattice.  T_{K-1} = 8 lies above 2pi,
-        # so a sweep that read it after 2pi, or went on to 0, would go over the bound
-        dt, wave_times = 0.0078125, [4.0, 8.0, 12.0]
+    def test_channels_flow_reaches_only_the_reported_pairs(self, tmp_path, monkeypatch):
+        # the summary reads pairs n_max - 1 and n_max, so the kernel runs the
+        # solve to T_max, the legs from T_1 to T_{K-1}, the backward sweep of
+        # u(T_max) to the lower of T_{K-1} and 2pi(n_max - 1), the forward tail
+        # to (2n_max + 1)pi, and one remainder substep per pair time off the
+        # step lattice.  T_{K-1} = 8 lies between 2pi and 4pi, so a sweep on to
+        # 2pi, or a tail on to the held-out time 8pi, goes over the bound
+        dt, n_max, wave_times = 0.0078125, 3, [4.0, 8.0, 16.0]
         t_max, legs = wave_times[-1], wave_times[-2] - wave_times[0]
         substeps = []
         kernel = propagators.strang
@@ -760,29 +777,61 @@ class TestExperiments:
             return kernel(u, spans, dt, *rules, **kwargs)
 
         monkeypatch.setattr(propagators, "strang", counting)
+        monkeypatch.setattr(solver, "strang", counting)
         cfg = parse_config_text(
-            f"""
-            experiment = channels
-            grid.n_points = 512
-            grid.length = 200.0
-            potential.family = gaussian_matched_step
-            potential.height = 2.0
-            potential.width = 1.0
-            solver.alpha = 5.0
-            solver.dt = {dt}
-            channels.wave_times = {", ".join(map(str, wave_times))}
-            channels.n_max = 1
-            initial.kind = gaussian
-            initial.amplitude = 0.05
-            initial.width = 2.0
-            """
+            PAIRS_CFG + f"channels.wave_times = {', '.join(map(str, wave_times))}\n"
+            f"channels.n_max = {n_max}\n"
         )
         run(cfg, output_dir=tmp_path / "ch")
-        study_times = math.pi * np.arange(2, 5)
-        off_lattice = sum(bool(substep_sizes(t, dt)[1]) for t in study_times)
-        tail = math.ceil((study_times[-1] - t_max) / dt)
-        least = t_max / dt - math.floor(study_times[0] / dt) + legs / dt
-        assert least <= sum(substeps) <= least + tail + off_lattice
+        pair_times = math.pi * np.arange(2 * n_max - 2, 2 * n_max + 2)
+        lowest, last = min(wave_times[-2], pair_times[0]), pair_times[-1]
+        assert lowest < t_max < last  # pair times on both sides of T_max
+        off_lattice = sum(bool(substep_sizes(t, dt)[1]) for t in pair_times)
+        sweep = t_max / dt - math.floor(lowest / dt)
+        tail = math.floor(last / dt) - t_max / dt
+        least = (t_max + legs) / dt + sweep + tail
+        assert least <= sum(substeps) <= least + off_lattice
+
+    @pytest.mark.parametrize("n_max, wave_times", [
+        (1, [2.0, 4.0, 8.0]),  # pair times 2pi and 3pi on both sides of T_max
+        (2, [4.0, 14.0, 16.0]),  # pair times on both sides of T_{K-1}
+        (3, [4.0, 14.0, 17.0]),  # on both sides of T_{K-1} and of T_max
+    ])
+    def test_channels_reported_pairs_match_the_full_study(self, tmp_path, monkeypatch,
+                                                          n_max, wave_times):
+        # the pairs that channels reads off its shorter flow are, bit for bit,
+        # the last two of the full study read off the flow at every study time
+        wave_gaps, channel_study = scattering._wave_gaps, scattering._channel_study
+        seen = {}
+
+        def gaps(traj, p, times, flow_times=()):
+            seen["flow"] = traj, p, times
+            return wave_gaps(traj, p, times, flow_times)
+
+        def study(psi, states, first=1):
+            seen["study"] = channel_study(psi, states, first)
+            return seen["study"]
+
+        monkeypatch.setattr(scattering, "_wave_gaps", gaps)
+        monkeypatch.setattr(scattering, "_channel_study", study)
+        cfg = parse_config_text(
+            PAIRS_CFG + f"channels.wave_times = {', '.join(map(str, wave_times))}\n"
+            f"channels.n_max = {n_max}\n"
+        )
+        summary = run(cfg, output_dir=tmp_path / "ch")
+        traj, p, times = seen["flow"]
+        _, flow = wave_gaps(traj, p, times, scattering._channel_times(n_max))
+        full, reported = channel_study(traj.field_at(times[-1]), flow), seen["study"]
+        assert len(full.pairs) == n_max
+        assert [pr.extraction_n for pr in reported.pairs] == [pr.extraction_n for pr in full.pairs[-2:]]
+        for ours, theirs in zip(reported.pairs, full.pairs[-2:]):
+            assert np.array_equal(ours.eta.values, theirs.eta.values)
+            assert np.array_equal(ours.gamma.values, theirs.gamma.values)
+        assert reported.pairs[-1].cauchy_gap == full.pairs[-1].cauchy_gap
+        assert summary["final_mass_defect"] == full.mass_defects[-1]
+        assert summary["final_cauchy_gap"] == (full.cauchy_gaps[-1] if n_max > 1 else None)
+        # a study that starts past n = 1 stores no stand-in gap for its first pair
+        assert math.isnan(reported.pairs[0].cauchy_gap) == (n_max > 2)
 
     def test_channels_three_wave_times(self, tmp_path):
         # K = 3 runs one leg, u(2) -> 1, beside the sweep of u(4) that gives
