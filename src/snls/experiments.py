@@ -340,6 +340,9 @@ def _run_linear_channels(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
     wave_times = sorted(cfg.get_float_list("channels.wave_times", [10.0, 20.0, 40.0]))
+    # checked here, where the error can name the key: the solve sees record_times
+    if not (wave_times[0] >= 0 and np.all(np.diff(wave_times) > 0)):
+        raise ConfigError(f"channels.wave_times must be distinct and >= 0, got {wave_times}")
     problem = _evolve_problem(cfg, wave_times)
     # the legs undo the solve's own splitting: at another step the
     # wave-operator gaps would measure splitting error
@@ -441,11 +444,9 @@ def _run_translation_gap(cfg: RunConfig, outdir: Path) -> dict:
     ]
     by_side = {}
     for side, sign in (("left", -1), ("right", 1)):
-        pairs = sorted(
-            ((abs(s), g) for s, g in zip(shifts, gaps) if np.sign(s) == sign)
-        )
+        pairs = sorted((abs(s), g) for s, g in zip(shifts, gaps) if np.sign(s) == sign)
         if len(pairs) > 1:
-            by_side[side] = bool(all(pairs[i + 1][1] < pairs[i][1] for i in range(len(pairs) - 1)))
+            by_side[side] = _decreasing([g for _, g in pairs])
     summary = {
         "shifts": shifts,
         "gaps": gaps,

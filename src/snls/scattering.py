@@ -199,14 +199,15 @@ def _wave_gaps(
     |exp(-i(T_{i+1} - T_i)(dxx-V)) u(T_{i+1}) - u(T_i)|_h1v: the linear flow
     conserves h1v, so it is |psi_plus(T_{i+1}) - psi_plus(T_i)|_h1v and needs
     only its own leg.  Each leg but the last is a one-row flow of its own.
-    One backward sweep of u(T_max) visits, in decreasing order, the flow
-    times at or below T_max and T_{K-1}, where it gives the last gap, and
-    ends at the lowest of them.  Flow times past T_max run forward from
-    u(T_max), to the last of them.  So the flow goes only as far as T_{K-1}
-    and the flow times ask; ``channels`` asks for the endpoint times of the
-    two pairs it reports.  Unchecked: p is the solve's own splitting at its
-    step and the times lie on its step lattice, as ``channels`` makes them;
-    the flow times are at or above 0.
+    Two sweeps of u(T_max) fill one map from time to state, each distinct
+    time once: a forward one visits the flow times past T_max, lowest first,
+    and a backward one, highest first, T_{K-1} and the flow times at or
+    below T_max.  The last gap reads the state at T_{K-1}, and the flow is
+    returned in the order of ``flow_times``.  So the flow goes only as far
+    as T_{K-1} and the flow times ask; ``channels`` asks for the endpoint
+    times of the two pairs it reports.  Unchecked: p is the solve's own
+    splitting at its step and the times lie on its step lattice, as
+    ``channels`` makes them; the flow times are at or above 0.
     """
     times = sorted(float(T) for T in times)
     snapshots = [traj.field_at(T).values for T in times]
@@ -217,21 +218,15 @@ def _wave_gaps(
 
     gaps = [gap(next(p._flow(snapshots[i + 1], [times[i]], times[i + 1])), i)
             for i in range(len(times) - 2)]
-    flow_times = np.asarray(flow_times, dtype=float)
-    flows = [None] * len(flow_times)
-    ahead = np.flatnonzero(flow_times > t_max)
-    for j, u in zip(ahead, p._flow(snapshots[-1], flow_times[ahead], t_max)):
-        flows[j] = ComplexField(grid, u)
-    # the sweep's stops, highest first: flow time j as j, T_{K-1} as -1
-    stops = [(flow_times[j], j) for j in np.flatnonzero(flow_times <= t_max)]
-    stops += [(times[-2], -1)] if len(times) > 1 else []
-    stops.sort(key=lambda stop: -stop[0])
-    for (_, j), u in zip(stops, p._flow(snapshots[-1], [t for t, _ in stops], t_max)):
-        if j < 0:
-            gaps.append(gap(u, -2))
-        else:
-            flows[j] = ComplexField(grid, u)
-    return gaps, flows
+    below = sorted({t for t in flow_times if t <= t_max} | set(times[-2:-1]), reverse=True)
+    ahead = sorted({t for t in flow_times if t > t_max})
+    states = {}
+    for stops in (ahead, below):
+        for t, u in zip(stops, p._flow(snapshots[-1], stops, t_max)):
+            states[t] = ComplexField(grid, u)  # a copy: _flow reuses its buffer
+    if len(times) > 1:
+        gaps.append(gap(states[times[-2]].values, -2))
+    return gaps, [states[t] for t in flow_times]
 
 
 def translation_flow_gap(

@@ -1521,6 +1521,20 @@ class TestCli:
         assert "wave_times" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("wave_times", ["10.0, 10.0, 40.0", "-2.0, 4.0"],
+                             ids=["duplicate", "negative"])
+    def test_channels_bad_wave_times_name_their_key_exit_2(self, tmp_path, capsys, wave_times):
+        # the solve would refuse them too, but by solver.record_times, a key
+        # the config never wrote
+        cfg = self._write_cfg(tmp_path, LEGS_CFG + f"channels.wave_times = {wave_times}\n")
+        out = tmp_path / "o"
+        assert main(["channels", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "channels.wave_times" in err["message"]
+        assert "record_times" not in err["message"]
+        assert not out.exists()
+
     def test_comma_string_value_exit_0(self, tmp_path):
         # output_dir, which --output-dir overrides, is the one key a run may leave unread
         cfg = self._write_cfg(tmp_path, EVOLVE_CFG + "output_dir = first run, small grid\n")

@@ -186,6 +186,18 @@ class TestWaveOperator:
         leg = next(p._flow(u_max, [times[0]], times[-1])) - traj.field_at(times[0]).values
         alone = snls.h1v_norm_sq(snls.ComplexField(channel_grid, leg), v) ** 0.5
         assert abs(gap - alone) <= 1e-10 * alone
+        # the order of the flow times changes nothing: shuffled, with T_{K-1}
+        # and T_max among them and 6pi asked before 4pi and 5pi, each state is
+        # the sorted call's at its time, bit for bit, in the order asked
+        asked = [*study_times, *times]
+        shuffled = [asked[k] for k in (4, 5, 2, 0, 6, 3, 1)]
+        in_order_gaps, in_order = scattering._wave_gaps(traj, p, times, sorted(asked))
+        by_time = dict(zip(sorted(asked), in_order))
+        shuffled_gaps, flow = scattering._wave_gaps(traj, p, times, shuffled)
+        assert shuffled_gaps == in_order_gaps
+        assert len(flow) == len(shuffled)
+        for t, state in zip(shuffled, flow):
+            assert np.array_equal(state.values, by_time[t].values)
 
     def test_wave_gaps_need_snapshots(self, channel_grid):
         v = np.zeros(channel_grid.n_points)
