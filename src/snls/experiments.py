@@ -526,6 +526,37 @@ def _run_profiles(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
+def _numbers(value, name=""):
+    """(name, number) for each number in a summary value, a list entry named
+    name[i] and a dict entry name.key; booleans, nulls and strings are skipped."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{name}[{i}]")
+    elif isinstance(value, (int, float, np.number)) and not isinstance(value, bool):
+        yield name, float(value)
+
+
+def _largest_relative_changes(summaries) -> dict:
+    """Each number of the point summaries -> its largest relative change
+    |b - a| / max(|a|, |b|) between successive points, where equal values
+    change by 0 and a NaN stays NaN.  A pair compares only the names that
+    are numbers at both of its points."""
+    changes = {}
+    for before, after in zip(summaries, summaries[1:]):
+        later = dict(_numbers(after))
+        for name, a in _numbers(before):
+            if name in later:
+                b = later[name]
+                rel = 0.0 if a == b else abs(b - a) / max(abs(a), abs(b))
+                changes[name] = float(np.maximum(changes.get(name, 0.0), rel))
+    return changes
+
+
 def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     sub_experiment = cfg.get_str("sweep.experiment")
     if sub_experiment == "sweep":
@@ -547,10 +578,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     points = [(RunConfig({**entries, parameter: value}, cfg.source), outdir / name)
               for name, value in zip(run_names, values)]
     if sub_experiment == "evolve":
-        _run_evolve_points(points)
+        summaries = _run_evolve_points(points)
     else:
-        for sub, path in points:
-            _dispatch(sub, path)
+        summaries = [_dispatch(sub, path) for sub, path in points]
     for sub, _ in points:
         cfg.read |= sub.read - {parameter}
 
@@ -559,6 +589,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> dict:
         "parameter": parameter,
         "values": values,
         "runs": run_names,
+        "largest_relative_change": _largest_relative_changes(summaries),
     }
     _write_outputs(cfg, outdir, summary, [parameter.replace(".", "_")], [[v] for v in values])
     return summary

@@ -189,7 +189,7 @@ class TestCriterion5NonlinearScattering:
         t0 = time.perf_counter()
         # This box of L = 400 at dt = 2^-10 is the criterion's own grid, and
         # its tolerances were set on it.  It is no longer the shipped one:
-        # configs/channels.cfg runs on L = 800 at dt = 2^-9, which holds the
+        # configs/channels.cfg runs on L = 800 at dt = 2^-8, which holds the
         # channel study that this narrower box lets wrap around.
         g = snls.Grid(4096, 400.0)
         v = build_potential(CANONICAL, g)

@@ -964,6 +964,49 @@ class TestExperiments:
         run(cfg, output_dir=tmp_path / "ev")
         assert len((tmp_path / "ev" / "series.csv").read_text().splitlines()) == 1 + 8
 
+    @pytest.mark.parametrize(
+        "experiment, parameter, settings",
+        [("evolve", "solver.alpha", _without(EVOLVE_CFG, "solver.alpha")),
+         ("linear_channels", "initial.width", "grid.n_points = 256\ngrid.length = 40.0\n"
+          "solver.dt = 0.02\nchannels.n_max = 2\ninitial.kind = gaussian\n")],
+        ids=["stacked", "point_by_point"],
+    )
+    def test_sweep_audit_of_equal_values_reads_zero(self, tmp_path, experiment, parameter,
+                                                    settings):
+        cfg = parse_config_text(
+            settings.replace("experiment = evolve", "") + "experiment = sweep\n"
+            f"sweep.experiment = {experiment}\nsweep.parameter = {parameter}\n"
+            "sweep.values = 5.0, 5.0\n"
+        )
+        summary = run(cfg, output_dir=tmp_path / "sw")
+        point = json.loads((tmp_path / "sw" / "run_000" / "summary.json").read_text())
+        # every number of the point summary is audited, and none moves
+        numbers = {k for k, v in point.items()
+                   if isinstance(v, (int, float)) and not isinstance(v, bool)}
+        changes = summary["largest_relative_change"]
+        assert numbers and numbers <= set(changes)
+        assert set(changes.values()) == {0.0}
+
+    def test_sweep_audit_names_list_entries_and_skips_other_values(self):
+        summaries = [{"g": [1.0, 4.0], "ok": True, "note": "a", "none": None, "d": {"m": 2}},
+                     {"g": [2.0, 4.0], "ok": False, "note": "b", "none": None, "d": {"m": 1}},
+                     {"g": [2.0, 3.0], "ok": True, "note": "c", "none": 0.0, "d": {"m": 1}}]
+        assert experiments._largest_relative_changes(summaries) == {
+            "g[0]": 0.5, "g[1]": 0.25, "d.m": 0.5}
+
+    def test_sweep_audit_flags_a_box_that_wraps(self, tmp_path):
+        # by 6 pi the channel study's flow wraps around the 50-wide box; the
+        # 200-wide box holds it, and the audit shows final_cauchy_gap move by
+        # most of its size while psi's mass stays at roundoff
+        cfg = parse_config_text(
+            "experiment = sweep\ngrid.n_points = 512\nsolver.dt = 0.01\nchannels.n_max = 2\n"
+            "initial.kind = gaussian\ninitial.width = 2.0\nsweep.experiment = linear_channels\n"
+            "sweep.parameter = grid.length\nsweep.values = 50.0, 200.0\n"
+        )
+        changes = run(cfg, output_dir=tmp_path / "sw")["largest_relative_change"]
+        assert changes["final_cauchy_gap"] > 0.5
+        assert changes["psi_mass"] < 1e-12
+
     def test_sweep_over_strings_rejected_before_runs(self, tmp_path):
         cfg = parse_config_text(
             EVOLVE_CFG.replace("experiment = evolve", "experiment = sweep")

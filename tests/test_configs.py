@@ -60,16 +60,32 @@ def test_channels_config_premises():
     # the box holds the channel study: the linear flow of u0 keeps its mass
     # off the outer tenth at every study time (7.0e-3 there on L = 400).  The
     # run samples out to 13 pi; the held-out 14 pi is kept here as a margin.
-    # A coarse step tracks the flow's spreading: 2.6e-6 here, 2.7e-6 at 2^-9.
+    # A coarse step tracks the flow's spreading: 2.6e-6 here, 2.7e-6 at the
+    # shipped 2^-8.
     p = snls.PerturbedPropagator(grid, experiments._build_potential(cfg, grid), 2**-5)
     times = scattering._channel_times(cfg.get_int("channels.n_max"))
     for f in p.evolve_through(u0, times):
         assert snls.boundary_mass_fraction(f) <= 1e-4
 
 
-# shipped keys set to values that keep each run to seconds; no key is removed
+def test_channels_dt_audits_the_shipped_channels_run():
+    # the audit sweeps the shipped step and a finer one; every other key is
+    # the shipped run's
+    audit = parse_config(CONFIG_DIR / "channels_dt.cfg").entries
+    shipped = parse_config(CONFIG_DIR / "channels.cfg").entries
+    assert (audit["sweep.experiment"], audit["sweep.parameter"]) == (shipped["experiment"], "solver.dt")
+    assert shipped["solver.dt"] in audit["sweep.values"]
+    assert min(audit["sweep.values"]) < shipped["solver.dt"]
+    own = {"experiment", "output_dir", "sweep.experiment", "sweep.parameter", "sweep.values"}
+    assert ({k: v for k, v in audit.items() if k not in own}
+            == {k: v for k, v in shipped.items() if k not in own | {"solver.dt"}})
+
+
+# shipped keys set to values that keep each run to seconds, by config file;
+# no key is removed
 QUICK = {
     "channels": {"grid.n_points": 512, "channels.wave_times": [0.5, 1.0], "channels.n_max": 1},
+    "channels_dt": {"grid.n_points": 512, "channels.wave_times": [0.5, 1.0], "channels.n_max": 1},
     "decay": {"grid.n_points": 2048, "decay.times": [1.0, 2.0]},
     "evolve": {"grid.n_points": 512, "solver.t_final": 0.1},
     "linear_channels": {"grid.n_points": 1024, "channels.n_max": 1},
@@ -84,7 +100,7 @@ def test_every_shipped_key_is_read(path, tmp_path):
     # with_override makes a plain copy, and run records its reads in the
     # config it was given; a sweep adds its points' reads to its own
     cfg = parse_config(path)
-    quick = QUICK[cfg.experiment()]
+    quick = QUICK[path.stem]
     assert set(quick) <= set(cfg.entries)
     for key, value in quick.items():
         cfg = cfg.with_override(key, value)
