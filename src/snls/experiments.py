@@ -529,12 +529,10 @@ def _run_profiles(cfg: RunConfig, outdir: Path) -> dict:
 def _numbers(value, name=""):
     """(name, number) for each number in a summary value, a list entry named
     name[i] and a dict entry name.key; booleans, nulls and strings are skipped."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     if isinstance(value, dict):
         for key, item in value.items():
             yield from _numbers(item, f"{name}.{key}" if name else key)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, np.ndarray)):
         for i, item in enumerate(value):
             yield from _numbers(item, f"{name}[{i}]")
     elif isinstance(value, (int, float, np.number)) and not isinstance(value, bool):
@@ -550,8 +548,7 @@ def _largest_relative_changes(summaries) -> dict:
     for before, after in zip(summaries, summaries[1:]):
         later = dict(_numbers(after))
         for name, a in _numbers(before):
-            if name in later:
-                b = later[name]
+            if (b := later.get(name)) is not None:
                 rel = 0.0 if a == b else abs(b - a) / max(abs(a), abs(b))
                 changes[name] = float(np.maximum(changes.get(name, 0.0), rel))
     return changes

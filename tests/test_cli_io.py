@@ -993,6 +993,9 @@ class TestExperiments:
                      {"g": [2.0, 3.0], "ok": True, "note": "c", "none": 0.0, "d": {"m": 1}}]
         assert experiments._largest_relative_changes(summaries) == {
             "g[0]": 0.5, "g[1]": 0.25, "d.m": 0.5}
+        # a NaN is not hidden by a later finite change
+        nan_first = [{"x": math.nan}, {"x": 1.0}, {"x": 2.0}]
+        assert math.isnan(experiments._largest_relative_changes(nan_first)["x"])
 
     def test_sweep_audit_flags_a_box_that_wraps(self, tmp_path):
         # by 6 pi the channel study's flow wraps around the 50-wide box; the
