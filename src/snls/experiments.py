@@ -20,10 +20,8 @@ from .grid import (
     ComplexField,
     Grid,
     _shift,
-    boundary_mass_fraction,
     gaussian_packet,
     h1_norm_sq,
-    high_mode_fraction,
     l2_norm_sq,
 )
 from .potentials import (
@@ -36,7 +34,7 @@ from .potentials import (
     load_samples_csv,
 )
 from .propagators import PerturbedPropagator, free_decay_constant, substep_sizes
-from .solver import NlsProblem, _monitor_warnings, _snapshots, solve, solve_stack
+from .solver import NlsProblem, _series, _snapshots, solve, solve_stack
 
 __all__ = ["run", "emit_plot_data"]
 
@@ -384,28 +382,18 @@ def _run_channels(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_morawetz(cfg: RunConfig, outdir: Path) -> dict:
-    grid = _build_grid(cfg)
-    spec = _potential_spec(cfg)
-    v = build_potential(spec, grid)
-    u0 = _build_initial(cfg, grid)
-    problem = _build_problem(cfg, grid, v, u0)
+    problem = _evolve_problem(cfg)
     t_min = cfg.get_float("morawetz.t_min", 1.0)
     times = diagnostics._morawetz_times(problem.record_times, "difference", t_min)
     # the snapshots stream through the report's window as the solve makes
-    # them; only their boundary and high-mode fractions are kept
-    boundary, high = [], []
-
-    def selected():
-        for t, (f,) in zip(problem.record_times, _snapshots([problem])):
-            boundary.append(boundary_mass_fraction(f))
-            high.append(high_mode_fraction(f))
-            if t >= times[0]:
-                yield f.values
-
+    # them; only the monitors that the walk takes of them are kept
+    series = [[]]
+    snaps = zip(problem.record_times, _snapshots([problem], series))
     report = diagnostics._morawetz_window(
-        problem, times, selected(), "difference", build_potential_derivative(spec, grid)
+        problem, times, (f.values for t, (f,) in snaps if t >= times[0]), "difference",
+        build_potential_derivative(_potential_spec(cfg), problem.grid),
     )
-    notes = _monitor_warnings(np.array(boundary), np.array(high))
+    notes = _series(series[0])[-1]
 
     increments = []
     t_hi = 2.0 * t_min

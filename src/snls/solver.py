@@ -14,11 +14,12 @@ The step size is fixed (no adaptivity) so a given problem reproduces
 bit-for-bit; requested snapshot times are reached exactly by shrinking the
 final substep of each segment.  Problems that share grid, V, dt, record
 times and linear mode run as one (B, N) stack (``solve_stack``), each row
-bit for bit its own solve; ``solve`` is the one-row case.  Both collect
-``_snapshots``, which builds each record time's fields as the kernel
-reaches it, so a caller that needs one snapshot at a time (the
-``morawetz`` run) can stream them instead, computing the boundary and
-high-mode fractions and their ``_monitor_warnings`` as a Trajectory would.
+bit for bit its own solve; ``solve`` is the one-row case.  One walk,
+``_snapshots``, builds each record time's fields as the kernel reaches
+them and takes each snapshot's monitors once the guard has passed the
+span after it, so a field the guard stops is never monitored.  Both
+solves collect it; a caller that needs one snapshot at a time (the
+``morawetz`` run) streams it instead and reads the same monitors.
 
 The guard is per row and checks only what can fail: mass is conserved to
 roundoff, so sup|u|^2 stays below the initial sum of |u_j|^2 and a finite
@@ -146,13 +147,17 @@ def solve_stack(problems: Sequence[NlsProblem]) -> list[Trajectory]:
     differ by row.  Each row is bit for bit its own one-problem solve, and
     a guard that trips in any row raises for the whole stack.
     """
-    snaps = list(_snapshots(problems))
-    return [_trajectory(p, fields) for p, fields in zip(problems, zip(*snaps))]
+    series = [[] for _ in problems]
+    snaps = list(_snapshots(problems, series))
+    return [_trajectory(*row) for row in zip(problems, zip(*snaps), series)]
 
 
-def _snapshots(problems: Sequence[NlsProblem]) -> Iterator[list]:
+def _snapshots(problems: Sequence[NlsProblem], series: Sequence[list]) -> Iterator[list]:
     """Each record time's ComplexField of every row, u0 first, built when ``strang``
-    reaches it; nothing is kept after the yield."""
+    reaches it; nothing is kept after the yield.  A snapshot's ``_monitors``
+    go onto its row's list in ``series`` just before its yield, once the
+    guard has passed the span after it (the last one's, once the solve
+    ends): the overflow of a field the guard stops is the guard's to report."""
     first = problems[0]
     if not all(first.shares_flow(p) for p in problems[1:]):
         raise ParameterError("stacked problems must share grid, v, dt, record_times and linear")
@@ -165,12 +170,16 @@ def _snapshots(problems: Sequence[NlsProblem]) -> Iterator[list]:
         u, alpha = u[0], alpha if alpha is None else alpha[0]
     rules = strang_rules(grid, first.v, first.dt, alpha)
     states = strang(u, np.diff(first.record_times), first.dt, *rules)
-    yield [p.u0 for p in problems]
-    for _ in first.record_times[1:]:
+    fields = [p.u0 for p in problems]
+    for _ in first.record_times:
         # |u|^alpha overflowing into NaN or Inf is the guard's to report, not numpy's
         with np.errstate(over="ignore", invalid="ignore"):
-            state = next(states)
-        yield [ComplexField(grid, row) for row in state.reshape(len(problems), -1)]
+            state = next(states, None)
+        for p, f, rows in zip(problems, fields, series):
+            rows.append(_monitors(p, f))
+        yield fields
+        if state is not None:
+            fields = [ComplexField(grid, row) for row in state.reshape(len(problems), -1)]
 
 
 def _monitors(problem: NlsProblem, f: ComplexField) -> tuple:
@@ -179,8 +188,11 @@ def _monitors(problem: NlsProblem, f: ComplexField) -> tuple:
     return l2_norm_sq(f), energy, sup_norm(f), boundary_mass_fraction(f), high_mode_fraction(f)
 
 
-def _monitor_warnings(boundary: np.ndarray, high: np.ndarray) -> tuple:
-    """Warn of wrap-around and lost resolution; returns the notes."""
+def _series(rows: list) -> tuple:
+    """One row's monitor tuples as its mass, energy, sup, boundary and
+    high-mode series, then the notes it warns of: wrap-around and lost
+    resolution."""
+    mass, energy, sup, boundary, high = map(np.array, zip(*rows))
     notes = []
     if np.any(boundary > BOUNDARY_WARN_FRACTION):
         notes.append(
@@ -194,16 +206,13 @@ def _monitor_warnings(boundary: np.ndarray, high: np.ndarray) -> tuple:
         )
     for note in notes:
         warnings.warn(note, stacklevel=4)
-    return tuple(notes)
+    return mass, energy, sup, boundary, high, tuple(notes)
 
 
-def _trajectory(problem: NlsProblem, snap_fields: tuple) -> Trajectory:
-    """The snapshots of one solved problem with their diagnostics and warnings."""
-    mass, energy, sup, boundary, high = map(
-        np.array, zip(*(_monitors(problem, f) for f in snap_fields))
-    )
+def _trajectory(problem: NlsProblem, snap_fields: tuple, rows: list) -> Trajectory:
+    """The snapshots of one solved problem with the series and warnings of their monitors."""
+    mass, energy, sup, boundary, high, notes = _series(rows)
     return Trajectory(
         problem=problem, times=problem.record_times, fields=snap_fields, mass=mass, energy=energy,
-        sup=sup, boundary_fraction=boundary, high_mode=high,
-        warnings=_monitor_warnings(boundary, high),
+        sup=sup, boundary_fraction=boundary, high_mode=high, warnings=notes,
     )

@@ -1361,28 +1361,34 @@ class TestCli:
         assert err["error"] == "InstabilityError"
         assert "nan" in err["message"]
 
-    def test_overflow_stderr_is_one_json_object(self, tmp_path):
+    @pytest.mark.parametrize("amplitude", ["1e70", "1e155"])
+    @pytest.mark.parametrize("experiment", ["evolve", "morawetz"])
+    def test_overflow_stderr_is_one_json_object(self, tmp_path, experiment, amplitude):
         # a fresh interpreter with numpy's default error handling: no
-        # RuntimeWarning may precede the JSON error on stderr
+        # RuntimeWarning may precede the JSON error on stderr.  At 1e155
+        # |u|^2 overflows in u0's own mass and sup norm; at 1e70 only
+        # |u|^alpha does, as in u0's energy, so each catches a run that
+        # monitors u0 before the guard has passed its first span
         cfg = self._write_cfg(
             tmp_path,
-            """
-            experiment = evolve
+            f"""
+            experiment = {experiment}
             grid.n_points = 256
             grid.length = 40.0
             potential.family = flat
             solver.alpha = 5.0
             solver.dt = 1e-3
-            solver.t_final = 0.01
+            solver.t_final = 0.05
+            solver.record_stride = 0.01
             initial.kind = gaussian
-            initial.amplitude = 1e70
-            """,
+            initial.amplitude = {amplitude}
+            """ + ("morawetz.t_min = 0.01\n" if experiment == "morawetz" else ""),
         )
         src = str(Path(snls.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "snls.cli", "evolve", "--config", str(cfg),
+            [sys.executable, "-m", "snls.cli", experiment, "--config", str(cfg),
              "--output-dir", str(tmp_path / "o")],
             capture_output=True, text=True, env=env, timeout=120,
         )

@@ -401,7 +401,8 @@ class TestMorawetz:
         problem = traj.problem
         times = diagnostics._morawetz_times(problem.record_times, mode, 0.5)
         skip = problem.record_times.size - times.size
-        stream = (f.values for k, (f,) in enumerate(solver._snapshots([problem])) if k >= skip)
+        snaps = solver._snapshots([problem], [[]])
+        stream = (f.values for k, (f,) in enumerate(snaps) if k >= skip)
         streamed = diagnostics._morawetz_window(problem, times, stream, mode, vp)
         full = snls.morawetz_report(traj, time_derivative=mode, t_min=0.5, vprime=vp)
         assert streamed.times.tolist() == full.times.tolist()

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snls
 import snls.solver as solver_mod
@@ -227,11 +229,11 @@ class TestGuardsAndWarnings:
         problem = make_problem(g, v, snls.gaussian_packet(g, amplitude=0.5), dt=1e-2,
                                t_final=float(times[-1]), record_times=times)
         assert sum(bool(substep_sizes(t, 1e-2)[1]) for t in np.diff(times)) > 190
-        for _ in solver_mod._snapshots([problem]):
+        for _ in solver_mod._snapshots([problem], [[]]):
             pass
         tracemalloc.start()
         try:
-            for _ in solver_mod._snapshots([problem]):
+            for _ in solver_mod._snapshots([problem], [[]]):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -279,6 +281,37 @@ class TestStackedSolve:
         # each other row alone runs clean
         for p in problems[::2]:
             assert np.isfinite(snls.solve(p).fields[-1].values).all()
+
+    @settings(max_examples=30)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from([4.5, 5.0, 6.0]), st.floats(0.1, 1.5),
+                                st.floats(-2.0, 2.0)), min_size=1, max_size=3),
+        spans=st.lists(st.floats(0.003, 0.05), min_size=1, max_size=6),
+        linear=st.booleans(),
+    )
+    def test_series_are_the_monitors_of_the_kept_fields(self, rows, spans, linear):
+        # the walk monitors each snapshot as the solve reaches it; its series
+        # must read, bit for bit, what the monitors read on the kept fields
+        g = snls.Grid(64, 20.0)
+        v = snls.build_potential(snls.PotentialSpec(height=2.0, width=1.0), g)
+        times = np.cumsum(spans)
+        problems = [
+            snls.NlsProblem(grid=g, v=v, alpha=a, dt=1e-2, t_final=float(times[-1]),
+                            record_times=times, linear=linear,
+                            u0=snls.gaussian_packet(g, amplitude=amp, momentum=k))
+            for a, amp, k in rows
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trajs = solve_stack(problems)
+        for traj in trajs:
+            monitors = [solver_mod._monitors(traj.problem, f) for f in traj.fields]
+            mass, energy, sup, boundary, high = map(list, zip(*monitors))
+            assert traj.mass.tolist() == mass
+            assert traj.energy.tolist() == energy
+            assert traj.sup.tolist() == sup
+            assert traj.boundary_fraction.tolist() == boundary
+            assert traj.high_mode.tolist() == high
 
     def test_rows_must_share_the_flow(self, setup):
         g, v = setup
